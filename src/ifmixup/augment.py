@@ -2,15 +2,13 @@
 
 * DropEdge removes a fixed fraction of undirected edges, fresh per call.
 * DropNode removes a fixed fraction of nodes with their incident edges.
-* mix_readout interpolates two graph-level representations (the
-  readout-level mixing baseline).
-* mix_hidden interpolates one randomly chosen layer's pooled embedding and
-  routes it through the classifier block attached to that layer (the
-  manifold-mixup variant).
+
+The readout-level and hidden-level (manifold) mixing baselines interpolate
+model representations, so they run on the tape inside :mod:`.training`.
 
 All ratios use floor(ratio * count) and every structural output passes
-``validate_graph``. With ratio 0 or lambda 1 each transform is the identity
-on its primary input.
+``validate_graph``. With ratio 0 each transform is the identity on its
+input.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 
 from .graphs import NodeFeaturedGraph, is_binary
 from .mixing import BetaParams
-from .models import ModelParams, ForwardTrace
 
 AUGMENT_KINDS = (
     "none",
@@ -84,67 +81,3 @@ def drop_node(g: NodeFeaturedGraph, ratio: float, rng: np.random.Generator) -> N
     dropped = rng.choice(g.n, size=n_drop, replace=False)
     keep = np.setdiff1d(np.arange(g.n), dropped)  # sorted: relative order kept
     return NodeFeaturedGraph(g.v[keep].copy(), g.e[np.ix_(keep, keep)].copy())
-
-
-def mix_readout(h_a: np.ndarray, h_b: np.ndarray, lam: float) -> np.ndarray:
-    """Convex combination of two graph representations."""
-    h_a = np.asarray(h_a, dtype=np.float64)
-    h_b = np.asarray(h_b, dtype=np.float64)
-    if h_a.shape != h_b.shape:
-        raise ValueError(f"representation shapes differ: {h_a.shape} vs {h_b.shape}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    return lam * h_a + (1.0 - lam) * h_b
-
-
-@dataclass(eq=False)
-class MixedHidden:
-    """A manifold-mixed representation: the vector, its layer, and (when a
-    model was supplied) the class probabilities it produces."""
-
-    vector: np.ndarray
-    layer: int  # 1-based
-    probs: np.ndarray | None = None
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    z = np.exp(x - x.max())
-    return z / z.sum()
-
-
-def mix_hidden(
-    trace_a: ForwardTrace,
-    trace_b: ForwardTrace,
-    lam: float,
-    k: int | None = None,
-    rng: np.random.Generator | None = None,
-    params: ModelParams | None = None,
-) -> MixedHidden:
-    """Mix the layer-k pooled embeddings and classify through layer k's head.
-
-    ``k`` is 1-based; when None it is drawn uniformly from {1..K} using
-    ``rng``. For the GIN concatenated readout, "layer k's head" is the k-th
-    row block of the dense head weight, which is exactly the head's response
-    to that layer's slot. With k = K and a GCN stack this coincides with
-    ``mix_readout`` on the final representations.
-    """
-    n_layers = len(trace_a.pooled)
-    if len(trace_b.pooled) != n_layers:
-        raise ValueError("traces come from models of different depth")
-    if k is None:
-        if rng is None:
-            raise ValueError("need an rng to draw the mixing layer")
-        k = 1 + int(rng.integers(n_layers))
-    if not 1 <= k <= n_layers:
-        raise ValueError(f"layer index {k} out of range 1..{n_layers}")
-
-    vector = mix_readout(trace_a.pooled[k - 1], trace_b.pooled[k - 1], lam)
-    probs = None
-    if params is not None:
-        w = params.tensors["head.W"]
-        b = params.tensors["head.b"]
-        if params.config.arch == "gin":
-            h = params.config.hidden
-            w = w[(k - 1) * h : k * h]
-        probs = _softmax(vector @ w + b)
-    return MixedHidden(vector=vector, layer=k, probs=probs)

@@ -18,8 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-LOG_CLAMP = 1e-12
-
 
 class Tensor:
     """A node on the tape: a value, a gradient slot, and a backward rule."""
@@ -163,17 +161,6 @@ class Tensor:
             a._accumulate(full)
 
         return Tensor(a.value[start:stop], parents=(a,), backward=bw)
-
-    def log_clamped(self) -> "Tensor":
-        """log(max(x, LOG_CLAMP)); gradient is zero on the clamped region."""
-        a = self
-        clamped = np.maximum(a.value, LOG_CLAMP)
-        mask = a.value >= LOG_CLAMP
-
-        def bw(g: np.ndarray) -> None:
-            a._accumulate(g * mask / clamped)
-
-        return Tensor(np.log(clamped), parents=(a,), backward=bw)
 
     def softmax(self) -> "Tensor":
         """Row-wise softmax (last axis), numerically shifted."""

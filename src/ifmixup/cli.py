@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -308,25 +309,9 @@ def _train_config_from_doc(doc: dict, args) -> tuple[TrainConfig, str | None]:
     for flag in ("epochs", "seed", "runs", "folds"):
         value = getattr(args, flag, None)
         if value is not None:
-            cfg = type(cfg)(**{**_cfg_dict(cfg), flag: value})
+            cfg = replace(cfg, **{flag: value})
     out = args.out if args.out is not None else doc.get("out")
     return cfg, out
-
-
-def _cfg_dict(cfg: TrainConfig) -> dict:
-    return {
-        "model": cfg.model,
-        "augment": cfg.augment,
-        "lr0": cfg.lr0,
-        "batch_size": cfg.batch_size,
-        "epochs": cfg.epochs,
-        "folds": cfg.folds,
-        "runs": cfg.runs,
-        "seed": cfg.seed,
-        "weight_decay": cfg.weight_decay,
-        "shuffle_nodes_before_mix": cfg.shuffle_nodes_before_mix,
-        "audit_mixes": cfg.audit_mixes,
-    }
 
 
 def _cmd_train(args) -> int:

@@ -303,27 +303,3 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
             seen.add(key)
             t_set.append(t)
     return FeatureBasis(vocabulary, vocabulary_star, rank, basis, coeffs, t_set)
-
-
-@dataclass
-class DegreeStats:
-    """Per-dataset summary: graph count, mean node count, mean undirected edges."""
-
-    graph_count: int
-    mean_nodes: float
-    mean_edges: float
-    feature_dim: int
-    num_classes: int
-
-
-def degree_stats(ds: GraphDataset) -> DegreeStats:
-    """Mean node and undirected-edge counts over the dataset (an edge counted once)."""
-    nodes = [g.n for g in ds.graphs()]
-    edges = [float(np.count_nonzero(np.triu(g.e, k=1))) for g in ds.graphs()]
-    return DegreeStats(
-        graph_count=len(ds),
-        mean_nodes=float(np.mean(nodes)),
-        mean_edges=float(np.mean(edges)),
-        feature_dim=ds.feature_dim,
-        num_classes=ds.num_classes,
-    )

@@ -18,9 +18,9 @@ dropout on its logits and a softmax produce class probabilities. The loss
 is soft-label cross-entropy, linear in the target, so mixed labels plug in
 directly.
 
-Forward passes are built on the :mod:`.autodiff` tape; ``model_gradients``
-returns the exact gradient of the batch-mean loss for every parameter,
-including the GIN eps scalars.
+Forward passes are built on the :mod:`.autodiff` tape. The exact gradient
+of the batch-mean loss for every parameter, including the GIN eps scalars,
+comes from ``batch_gradients`` and ``model_gradients`` in :mod:`.training`.
 """
 
 from __future__ import annotations
@@ -311,34 +311,6 @@ def cross_entropy_t(y_target: LabelDistribution, logits: Tensor) -> Tensor:
     """
     y = constant(y_target.p.reshape(1, -1))
     return (y * logits.log_softmax()).sum().scale(-1.0)
-
-
-def model_gradients(
-    batch: list[tuple[NodeFeaturedGraph, LabelDistribution]],
-    params: ModelParams,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean soft-CE loss over the batch and its exact gradient per parameter.
-
-    Graphs are processed one at a time in batch order with gradient
-    accumulation, so results are bit-reproducible for a fixed rng state.
-    Parameters that never touch the loss (dead ReLU paths) get zero arrays.
-    """
-    if not batch:
-        raise ValueError("model_gradients needs a nonempty batch")
-    wrapped = wrap_params(params, requires_grad=True)
-    total: Tensor | None = None
-    for g, y in batch:
-        t = forward_trace(g, wrapped, params, training=True, rng=rng)
-        ce = cross_entropy_t(y, t.logits)
-        total = ce if total is None else total + ce
-    loss = total.scale(1.0 / len(batch))
-    loss.backward()
-    grads = {
-        name: (w.grad if w.grad is not None else np.zeros_like(w.value))
-        for name, w in wrapped.items()
-    }
-    return float(loss.value), grads
 
 
 # -- checkpoints ----------------------------------------------------------------

@@ -78,7 +78,6 @@ class TrainConfig:
     runs: int = 3
     seed: int = 0
     weight_decay: float = 0.01
-    shuffle_nodes_before_mix: bool = False
     audit_mixes: bool = False  # resample-guard lambda and validate each mix
 
     def __post_init__(self) -> None:
@@ -206,7 +205,6 @@ def build_epoch_stream(
         return out
 
     if kind in ("if_mixup", "if_mixup_shuffled"):
-        shuffle_nodes = cfg.shuffle_nodes_before_mix or kind == "if_mixup_shuffled"
         out = []
         for ia, ib in _draw_pairs(n, rng):
             ga, ya = items[ia]
@@ -215,7 +213,7 @@ def build_epoch_stream(
             if cfg.audit_mixes:
                 while abs(lam - 0.5) < HALF_GUARD:
                     lam = sample_lambda(cfg.augment.beta, rng)
-            if shuffle_nodes:
+            if kind == "if_mixup_shuffled":
                 gb = permute_nodes(gb, rng.permutation(gb.n))
             mixed = mix_items((ga, ya), (gb, yb), lam)
             if cfg.audit_mixes:
@@ -285,7 +283,7 @@ def batch_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean loss over a heterogeneous batch and its exact gradients."""
     if not batch:
-        raise ValueError("empty batch")
+        raise ValueError("gradients need a nonempty batch")
     wrapped = wrap_params(params, requires_grad=True)
     total: Tensor | None = None
     for sample in batch:
@@ -298,6 +296,20 @@ def batch_gradients(
         for name, w in wrapped.items()
     }
     return float(loss.value), grads
+
+
+def model_gradients(
+    batch: list[tuple[NodeFeaturedGraph, LabelDistribution]],
+    params: ModelParams,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean soft-CE loss over plain (graph, label) pairs and its exact gradient.
+
+    Graphs are processed one at a time in batch order with gradient
+    accumulation, so results are bit-reproducible for a fixed rng state.
+    Parameters that never touch the loss (dead ReLU paths) get zero arrays.
+    """
+    return batch_gradients([EpochSample(y=y, g=g) for g, y in batch], params, rng)
 
 
 # -- training and evaluation --------------------------------------------------------

@@ -1,4 +1,8 @@
-"""DropEdge, DropNode, readout mixing, and the random-layer hidden mixing."""
+"""DropEdge, DropNode, and the readout/hidden mixing baselines.
+
+The mixing baselines interpolate model representations, so their tests
+drive ``batch_gradients`` on deferred-pair samples, the path training uses.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ import numpy as np
 import pytest
 
 import ifmixup as m
+from ifmixup.training import EpochSample, batch_gradients
 
 from conftest import graphs_equal, rand_one_hot_graph
 
@@ -152,86 +157,97 @@ class TestDropNode:
             assert m.is_binary(out)
 
 
+YA = m.LabelDistribution.one_hot(0, 2)
+YB = m.LabelDistribution.one_hot(1, 2)
+
+
+def mix_setup(arch="gin", k=3, hidden=4, d=3):
+    """Parameters plus two source graphs of different sizes."""
+    cfg = m.ModelConfig(arch=arch, k=k, hidden=hidden)
+    params = m.init_params(cfg, d, 2, np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    return params, rand_one_hot_graph(rng, 5, d), rand_one_hot_graph(rng, 6, d)
+
+
+def pair_loss(params, ga, gb, lam, layer=None, y=None):
+    """Loss and gradients of one deferred-mix sample (layer None = readout mix)."""
+    y = m.mix_labels(YA, YB, lam) if y is None else y
+    sample = EpochSample(y=y, pair=(ga, gb), lam=lam, layer=layer)
+    return batch_gradients([sample], params, np.random.default_rng(0))
+
+
+def assert_same_gradients(ga, gb, atol=1e-12):
+    assert ga.keys() == gb.keys()
+    for name in ga:
+        assert np.allclose(ga[name], gb[name], rtol=0.0, atol=atol), name
+
+
 class TestMixReadout:
     def test_identity_at_one(self):
-        ha, hb = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-        assert np.array_equal(m.mix_readout(ha, hb, 1.0), ha)
+        params, ga, gb = mix_setup()
+        loss, grads = pair_loss(params, ga, gb, 1.0)
+        plain = [EpochSample(y=YA, g=ga)]
+        plain_loss, plain_grads = batch_gradients(plain, params, np.random.default_rng(0))
+        assert loss == pytest.approx(plain_loss, abs=1e-12)
+        assert_same_gradients(grads, plain_grads)
 
     def test_midpoint(self):
-        assert np.allclose(m.mix_readout(np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.5), [1.0, 1.0])
+        # at lambda 1/2 the mix is symmetric in its two sources
+        params, ga, gb = mix_setup()
+        y = m.mix_labels(YA, YB, 0.5)
+        loss_ab, grads_ab = pair_loss(params, ga, gb, 0.5, y=y)
+        loss_ba, grads_ba = pair_loss(params, gb, ga, 0.5, y=y)
+        assert loss_ab == pytest.approx(loss_ba, abs=1e-12)
+        assert_same_gradients(grads_ab, grads_ba)
 
     def test_convexity(self):
-        rng = np.random.default_rng(6)
-        ha, hb = rng.normal(size=8), rng.normal(size=8)
-        out = m.mix_readout(ha, hb, 0.3)
-        assert out.shape == ha.shape
-        assert np.all(out <= np.maximum(ha, hb) + 1e-12)
-        assert np.all(out >= np.minimum(ha, hb) - 1e-12)
+        # the head is affine, so the mixed logits interpolate the sources'
+        # logits and the loss for a fixed target is convex in lambda
+        params, ga, gb = mix_setup()
+        y = m.mix_labels(YA, YB, 0.3)
+        end_a, _ = pair_loss(params, ga, gb, 1.0, y=y)
+        end_b, _ = pair_loss(params, ga, gb, 0.0, y=y)
+        for lam in np.linspace(0.05, 0.95, 7):
+            loss, _ = pair_loss(params, ga, gb, float(lam), y=y)
+            assert loss <= lam * end_a + (1.0 - lam) * end_b + 1e-12
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shapes differ"):
-            m.mix_readout(np.zeros(3), np.zeros(4), 0.5)
-
-    def test_lambda_range(self):
-        with pytest.raises(ValueError, match="lambda"):
-            m.mix_readout(np.zeros(3), np.zeros(3), 1.5)
+        params, ga, _ = mix_setup(d=3)
+        other = rand_one_hot_graph(np.random.default_rng(9), 4, 2)
+        with pytest.raises(ValueError, match="feature dim"):
+            pair_loss(params, ga, other, 0.5)
 
 
 class TestMixHidden:
-    def setup_traces(self, arch="gin", k=3, hidden=4):
-        cfg = m.ModelConfig(arch=arch, k=k, hidden=hidden)
-        params = m.init_params(cfg, 3, 2, np.random.default_rng(7))
-        rng = np.random.default_rng(8)
-        ga, gb = rand_one_hot_graph(rng, 5, 3), rand_one_hot_graph(rng, 6, 3)
-        return params, m.forward_classify(ga, params), m.forward_classify(gb, params)
-
     def test_fixed_layer(self):
-        params, ta, tb = self.setup_traces()
-        out = m.mix_hidden(ta, tb, 0.25, k=2)
-        assert out.layer == 2
-        assert np.allclose(out.vector, 0.25 * ta.pooled[1] + 0.75 * tb.pooled[1])
+        # a layer-2 mix reads the pooled embeddings of layer 2, so the layers
+        # above it never reach the loss
+        params, ga, gb = mix_setup(arch="gin", k=3)
+        _, grads = pair_loss(params, ga, gb, 0.25, layer=2)
+        for name, g in grads.items():
+            if name.startswith("layer2."):
+                assert not np.any(g), name
+        assert np.any(grads["layer1.mlp0.W"])
 
     def test_lambda_one_uses_a_side(self):
-        params, ta, tb = self.setup_traces()
-        out = m.mix_hidden(ta, tb, 1.0, k=1)
-        assert np.array_equal(out.vector, ta.pooled[0])
-
-    def test_random_layer_in_range(self):
-        params, ta, tb = self.setup_traces(k=3)
-        rng = np.random.default_rng(9)
-        layers = {m.mix_hidden(ta, tb, 0.5, rng=rng).layer for _ in range(60)}
-        assert layers == {1, 2, 3}
-
-    def test_random_layer_needs_rng(self):
-        params, ta, tb = self.setup_traces()
-        with pytest.raises(ValueError, match="rng"):
-            m.mix_hidden(ta, tb, 0.5)
-
-    def test_layer_out_of_range(self):
-        params, ta, tb = self.setup_traces(k=2)
-        with pytest.raises(ValueError, match="out of range"):
-            m.mix_hidden(ta, tb, 0.5, k=3)
-
-    def test_depth_mismatch(self):
-        _, ta, _ = self.setup_traces(k=2)
-        _, _, tb = self.setup_traces(k=3)
-        with pytest.raises(ValueError, match="different depth"):
-            m.mix_hidden(ta, tb, 0.5, k=1)
+        params, ga, gb = mix_setup()
+        other = rand_one_hot_graph(np.random.default_rng(10), 7, 3)
+        loss, grads = pair_loss(params, ga, gb, 1.0, layer=1)
+        loss_other, grads_other = pair_loss(params, ga, other, 1.0, layer=1)
+        assert loss == pytest.approx(loss_other, abs=1e-12)
+        assert_same_gradients(grads, grads_other)
 
     def test_gin_probs_use_layer_block(self):
-        params, ta, tb = self.setup_traces(arch="gin", k=2, hidden=4)
-        out = m.mix_hidden(ta, tb, 0.4, k=2, params=params)
-        w = params.tensors["head.W"][4:8]  # second layer's row block
-        logits = out.vector @ w + params.tensors["head.b"]
-        expected = np.exp(logits - logits.max())
-        expected /= expected.sum()
-        assert np.allclose(out.probs, expected)
+        params, ga, gb = mix_setup(arch="gin", k=2, hidden=4)
+        loss, grads = pair_loss(params, ga, gb, 0.4, layer=2)
+        assert not np.any(grads["head.W"][:4])  # first layer's row block unused
+        assert np.any(grads["head.W"][4:8])
+        params.tensors["head.W"][:4] += 1.0
+        assert pair_loss(params, ga, gb, 0.4, layer=2)[0] == loss
 
-    def test_gcn_final_layer_matches_mix_readout(self):
-        params, ta, tb = self.setup_traces(arch="gcn", k=3, hidden=4)
-        out = m.mix_hidden(ta, tb, 0.3, k=3, params=params)
-        assert np.allclose(out.vector, m.mix_readout(ta.h_graph, tb.h_graph, 0.3))
-        logits = out.vector @ params.tensors["head.W"] + params.tensors["head.b"]
-        expected = np.exp(logits - logits.max())
-        expected /= expected.sum()
-        assert np.allclose(out.probs, expected)
+    def test_gcn_final_layer_matches_readout_mix(self):
+        params, ga, gb = mix_setup(arch="gcn", k=3, hidden=4)
+        hidden_loss, hidden_grads = pair_loss(params, ga, gb, 0.3, layer=3)
+        readout_loss, readout_grads = pair_loss(params, ga, gb, 0.3)
+        assert hidden_loss == readout_loss
+        assert_same_gradients(hidden_grads, readout_grads, atol=0.0)

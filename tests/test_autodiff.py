@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ifmixup.autodiff import LOG_CLAMP, Tensor, concat, constant, parameter
+from ifmixup.autodiff import Tensor, concat, constant, parameter
 
 
 def fd_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -132,17 +132,6 @@ class TestSoftmaxFamily:
         out = constant(x).log_softmax().value
         assert np.isfinite(out).all()
         assert out[0, 1] == pytest.approx(-1600.0)
-
-    def test_log_clamped_matches_log_above_clamp(self):
-        x = np.array([[0.5, 1.0, 1e-3]])
-        assert np.allclose(constant(x).log_clamped().value, np.log(x))
-
-    def test_log_clamped_flat_below_clamp(self):
-        p = parameter(np.array([[LOG_CLAMP / 10]]))
-        out = p.log_clamped().sum()
-        out.backward()
-        assert out.value == pytest.approx(np.log(LOG_CLAMP))
-        assert p.grad[0, 0] == 0.0
 
 
 class TestTapeMechanics:

@@ -196,6 +196,14 @@ class TestCvAndSweep:
         assert len(doc["fold_acc"]) == 3  # runs x folds = 1 x 3
         assert 0.0 <= doc["mean"] <= 1.0
 
+    def test_epochs_flag_keeps_other_config_fields(self, tmp_path):
+        config = tiny_config(tmp_path, epochs=3, weight_decay=0.05, audit_mixes=True)
+        out = str(tmp_path / "cv" / "override")
+        assert run_command(["cv", config, "--epochs", "1", "--out", out]) == 0
+        echoed = json.loads(open(f"{out}_summary.json").read())["config"]
+        assert echoed["epochs"] == 1
+        assert echoed["weight_decay"] == 0.05 and echoed["audit_mixes"] is True
+
     def test_sweep_beta_axis_writes_bars(self, tmp_path, capsys):
         config = tiny_config(tmp_path, epochs=1)
         out = str(tmp_path / "sweep" / "beta")

@@ -280,11 +280,11 @@ class TestFeatureVocabulary:
             m.feature_vocabulary(m.GraphDataset([], 1, 2, "E"))
 
 
-class TestDegreeStats:
+class TestDatasetStats:
     def test_single_edge_graph(self):
         ds = m.GraphDataset([(g2(), m.LabelDistribution.one_hot(0, 1))], 1, 2, "S")
-        st = m.degree_stats(ds)
-        assert st.graph_count == 1
+        st = m.dataset_stats(ds)
+        assert st.num_graphs == 1
         assert st.mean_nodes == 2.0
         assert st.mean_edges == 1.0  # one undirected edge counted once
         assert st.feature_dim == 2 and st.num_classes == 1
@@ -297,5 +297,5 @@ class TestDegreeStats:
             2,
             "M",
         )
-        st = m.degree_stats(ds)
+        st = m.dataset_stats(ds)
         assert st.mean_nodes == 2.5 and st.mean_edges == 2.0

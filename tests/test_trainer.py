@@ -274,6 +274,65 @@ class TestBatchGradients:
         with pytest.raises(ValueError, match="empty"):
             batch_gradients([], params, np.random.default_rng(0))
 
+    @staticmethod
+    def reference_loss(y, h, w, b):
+        """-sum y log_softmax(h @ w + b), in numpy."""
+        z = h @ w + b
+        z = z - z.max()
+        return float(-(y.p * (z - np.log(np.exp(z).sum()))).sum())
+
+    def mixed_pair(self, tiny_dataset, arch, k, hidden):
+        params = m.init_params(
+            m.ModelConfig(arch=arch, k=k, hidden=hidden),
+            tiny_dataset.feature_dim,
+            2,
+            np.random.default_rng(20),
+        )
+        (ga, ya), (gb, yb) = tiny_dataset.items[0], tiny_dataset.items[1]
+        lam = 0.35
+        return params, ga, gb, lam, m.mix_labels(ya, yb, lam)
+
+    def test_manifold_loss_matches_numpy_reference(self, tiny_dataset):
+        hidden, k = 4, 2
+        params, ga, gb, lam, y = self.mixed_pair(tiny_dataset, "gin", 3, hidden)
+        sample = EpochSample(y=y, pair=(ga, gb), lam=lam, layer=k)
+        loss, _ = batch_gradients([sample], params, np.random.default_rng(0))
+        ta, tb = m.forward_classify(ga, params), m.forward_classify(gb, params)
+        h = lam * ta.pooled[k - 1] + (1.0 - lam) * tb.pooled[k - 1]
+        w = params.tensors["head.W"][(k - 1) * hidden : k * hidden]
+        reference = self.reference_loss(y, h, w, params.tensors["head.b"])
+        assert loss == pytest.approx(reference, abs=1e-12)
+
+    def test_readout_loss_matches_numpy_reference(self, tiny_dataset):
+        params, ga, gb, lam, y = self.mixed_pair(tiny_dataset, "gcn", 2, 4)
+        sample = EpochSample(y=y, pair=(ga, gb), lam=lam)
+        loss, _ = batch_gradients([sample], params, np.random.default_rng(0))
+        ta, tb = m.forward_classify(ga, params), m.forward_classify(gb, params)
+        h = lam * ta.h_graph + (1.0 - lam) * tb.h_graph
+        reference = self.reference_loss(y, h, params.tensors["head.W"], params.tensors["head.b"])
+        assert loss == pytest.approx(reference, abs=1e-12)
+
+    @pytest.mark.parametrize("kind,arch", [("mixup_graph", "gcn"), ("manifold_mixup", "gin")])
+    def test_deferred_pair_gradients_match_finite_differences(self, tiny_dataset, kind, arch):
+        # dropout on: each call gets the same seeded rng, so the masks are fixed
+        cfg = m.TrainConfig(
+            model=m.ModelConfig(arch=arch, k=2, hidden=4, dropout=0.5),
+            augment=m.AugmentSpec(kind=kind, beta=m.BetaParams(2, 2)),
+        )
+        params = m.init_params(cfg.model, tiny_dataset.feature_dim, 2, np.random.default_rng(21))
+        batch = build_epoch_stream(tiny_dataset.items, cfg, np.random.default_rng(22))[:4]
+        _, grads = batch_gradients(batch, params, np.random.default_rng(23))
+        step = 1e-6
+        for name, w in params.tensors.items():
+            for idx in np.ndindex(w.shape):
+                losses = []
+                for sign in (+1, -1):
+                    probe = params.copy()
+                    probe.tensors[name][idx] += sign * step
+                    losses.append(batch_gradients(batch, probe, np.random.default_rng(23))[0])
+                fd = (losses[0] - losses[1]) / (2 * step)
+                assert abs(fd - grads[name][idx]) < 1e-6 * max(1.0, abs(fd)), (name, idx)
+
 
 class TestEvaluate:
     def test_ties_break_to_lower_class(self, tiny_dataset):
@@ -433,10 +492,9 @@ class TestSerialization:
     def test_config_dict_round_trip(self):
         cfg = m.TrainConfig(
             model=m.ModelConfig(arch="gin", k=3, hidden=32, dropout=0.5),
-            augment=m.AugmentSpec(kind="if_mixup", beta=m.BetaParams(20, 1)),
+            augment=m.AugmentSpec(kind="if_mixup_shuffled", beta=m.BetaParams(20, 1)),
             epochs=7,
             seed=11,
-            shuffle_nodes_before_mix=True,
         )
         back = m.train_config_from_dict(m.train_config_to_dict(cfg))
         assert back == cfg
