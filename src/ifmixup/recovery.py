@@ -14,14 +14,16 @@ Node features decompose the same way provided the dataset's feature
 vocabulary V is finite. Two constructive modes are implemented:
 
 * independent mode - V itself is linearly independent. Each mixed row has a
-  unique coefficient vector over V; its nonzero pattern must be one of
-  {1} (identical sources), {s} or {1-s} (one source is a dummy row), or
-  {s, 1-s} (two distinct vocabulary rows), which pins down both sources.
+  unique coefficient vector over V.
 * basis mode - only the collection of coefficient matrices T (one per
   training graph, features = T @ B for a basis B of SPAN(V)) is linearly
-  independent. The mixed coefficient matrix is recovered by projection onto
-  B and then matched against s*T + (1-s)*T' over all training pairs; the
-  exhaustive search doubles as a correctness oracle at desk scale.
+  independent. The mixed coefficient matrix, projected onto B, has a unique
+  coefficient vector over the collection, found by one Gram solve.
+
+Either way the nonzero pattern of each coefficient vector must be one of
+{1} (identical sources), {s} or {1-s} (one source is a dummy row), or
+{s, 1-s} (two distinct members), which pins down both sources; the same
+coefficients give the ratio when the edges alone leave it open.
 
 ``recover_pair`` chains the two steps and strips trailing dummy rows, which
 exactly inverts the padding applied before mixing.
@@ -56,18 +58,27 @@ class RecoveryError(ValueError):
 
 @dataclass(eq=False)
 class EdgeSolution:
-    """One solution (s, e, e') of the edge equation, with the pair partition.
+    """One solution (s, e, e') of the edge equation.
 
-    ``partition`` maps the keys "00", "01", "10", "11" to the off-diagonal
-    node pairs (i, j) on which (e, e') equals (0,0), (0,1), (1,0), (1,1).
-    Both orientations of each pair are listed. ``s`` is None in the
-    degenerate identical-source case.
+    ``s`` is None in the degenerate identical-source case.
     """
 
     s: float | None
     e: np.ndarray
     e_prime: np.ndarray
-    partition: dict[str, list[tuple[int, int]]]
+
+    @property
+    def partition(self) -> dict[str, list[tuple[int, int]]]:
+        """The keys "00", "01", "10", "11" mapped to the off-diagonal node
+        pairs (i, j) on which (e, e') equals (0,0), (0,1), (1,0), (1,1).
+        Both orientations of each pair are listed."""
+        iu, ju = np.triu_indices(self.e.shape[0], k=1)
+        codes = 2 * self.e[iu, ju].astype(int) + self.e_prime[iu, ju].astype(int)
+        part: dict[str, list[tuple[int, int]]] = {}
+        for code, key in enumerate(("00", "01", "10", "11")):
+            pairs = zip(iu[codes == code].tolist(), ju[codes == code].tolist())
+            part[key] = [p for i, j in pairs for p in ((i, j), (j, i))]
+        return part
 
 
 @dataclass(eq=False)
@@ -130,8 +141,7 @@ def edge_solutions(e_mixed: np.ndarray, tol: float = DEFAULT_TOL) -> EdgeSolutio
 
     if not soft:
         e = np.where(e_mixed > 0.5, 1.0, 0.0)
-        partition = _partition(e, e, iu, ju)
-        return EdgeSolutionSet([EdgeSolution(None, e, e.copy(), partition)], degenerate=True)
+        return EdgeSolutionSet([EdgeSolution(None, e, e.copy())], degenerate=True)
 
     if len(soft) == 2 and abs(soft[0] + soft[1] - 1.0) > tol:
         raise RecoveryError(
@@ -153,19 +163,77 @@ def edge_solutions(e_mixed: np.ndarray, tol: float = DEFAULT_TOL) -> EdgeSolutio
         residual = np.max(np.abs(s * e + (1.0 - s) * e_p - e_mixed))
         if residual > tol:
             raise RecoveryError(f"edge values inconsistent with ratio {s}: residual {residual:.3e}")
-        solutions.append(EdgeSolution(s, e, e_p, _partition(e, e_p, iu, ju)))
+        solutions.append(EdgeSolution(s, e, e_p))
     return EdgeSolutionSet(solutions, degenerate=False)
 
 
-def _partition(
-    e: np.ndarray, e_p: np.ndarray, iu: np.ndarray, ju: np.ndarray
-) -> dict[str, list[tuple[int, int]]]:
-    part: dict[str, list[tuple[int, int]]] = {"00": [], "01": [], "10": [], "11": []}
-    for i, j in zip(iu.tolist(), ju.tolist()):
-        key = f"{int(e[i, j])}{int(e_p[i, j])}"
-        part[key].append((i, j))
-        part[key].append((j, i))
-    return part
+def _split_coefficients(
+    coeff: np.ndarray, s: float, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read each row of ``coeff`` as s*[a] + (1-s)*[b] over an independent set.
+
+    Returns the member indices (ia, ib) that the two sources took per row,
+    with -1 for the zero (dummy) row. Raises RecoveryError naming the first
+    row with any other pattern.
+    """
+    if abs(s - 0.5) <= tol:
+        raise RecoveryError("s = 0.5 makes the two feature assignments indistinguishable")
+    rows, width = coeff.shape
+    # Per side, the first member at s (a's side) or 1-s (b's side), or at 1
+    # for both; a row with none falls through to a spare column, the dummy row.
+    near = np.abs(coeff - np.array([s, 1.0 - s])[:, None, None]) <= tol
+    near |= np.abs(coeff - 1.0) <= tol
+    ia, ib = np.concatenate([near, np.ones((2, rows, 1), dtype=bool)], axis=2).argmax(axis=2)
+
+    expected = np.zeros((rows, width + 1))
+    expected[np.arange(rows), ia] = s
+    expected[np.arange(rows), ib] += 1.0 - s
+    bad = np.flatnonzero((np.abs(coeff - expected[:, :width]) > tol).any(axis=1))
+    if bad.size:
+        r = int(bad[0])
+        nonzero = coeff[r][np.abs(coeff[r]) > tol].tolist()
+        raise RecoveryError(
+            f"row {r}: coefficients {nonzero} are not s*[a] + (1-s)*[b] for s={s}"
+        )
+    ia[ia == width] = -1
+    ib[ib == width] = -1
+    return ia, ib
+
+
+def _coefficients_over_vocabulary(
+    v_mixed: np.ndarray, vocabulary: np.ndarray, tol: float
+) -> np.ndarray:
+    """Coefficients of each mixed row over V, by projection."""
+    coeff = coefficients_in_basis(v_mixed, vocabulary)
+    residual = np.max(np.abs(coeff @ vocabulary - v_mixed))
+    if residual > tol:
+        raise RecoveryError(f"mixed features leave SPAN(V): projection residual {residual:.3e}")
+    return coeff
+
+
+def _coefficients_over_t_set(
+    v_mixed: np.ndarray, basis: FeatureBasis, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row of coefficients of the mixed coefficient matrix over the
+    training matrices that fit in it, plus those matrices padded to its size."""
+    if not basis.t_set_independent():
+        raise RecoveryError("coefficient collection is not linearly independent")
+    t_mixed = coefficients_in_basis(v_mixed, basis.basis)
+    residual = np.max(np.abs(t_mixed @ basis.basis - v_mixed))
+    if residual > tol:
+        raise RecoveryError(f"mixed features leave SPAN(V): projection residual {residual:.3e}")
+
+    n = v_mixed.shape[0]
+    members = [_pad_rows(t, n) for t in basis.t_set if t.shape[0] <= n]
+    if not members:
+        raise RecoveryError("no training coefficient pair reproduces the mixed features")
+    members = np.stack(members)
+    flat = members.reshape(len(members), -1)
+    target = t_mixed.reshape(1, -1)
+    coeff = coefficients_in_basis(target, flat)
+    if np.max(np.abs(coeff @ flat - target)) > tol:
+        raise RecoveryError("no training coefficient pair reproduces the mixed features")
+    return coeff, members
 
 
 def recover_features_independent(
@@ -183,57 +251,13 @@ def recover_features_independent(
     vocabulary = np.atleast_2d(np.asarray(vocabulary, dtype=np.float64))
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    if abs(s - 0.5) <= tol:
-        raise RecoveryError("s = 0.5 makes the two feature assignments indistinguishable")
     ok, _ = check_linear_independence(vocabulary, tol)
     if not ok:
         raise RecoveryError("feature vocabulary is not linearly independent")
 
-    # Unique coefficients of each row over the vocabulary, by projection.
-    coeff = coefficients_in_basis(v_mixed, vocabulary)
-    residual = np.max(np.abs(coeff @ vocabulary - v_mixed))
-    if residual > tol:
-        raise RecoveryError(
-            f"mixed features leave SPAN(V): projection residual {residual:.3e}"
-        )
-
-    v = np.zeros_like(v_mixed)
-    v_p = np.zeros_like(v_mixed)
-    for r, c in enumerate(coeff):
-        nz = np.flatnonzero(np.abs(c) > tol)
-        if nz.size == 0:
-            continue  # zero row: both sources dummy
-        if nz.size == 1:
-            u = vocabulary[nz[0]]
-            cval = c[nz[0]]
-            if abs(cval - 1.0) <= tol:
-                v[r] = u
-                v_p[r] = u
-            elif abs(cval - s) <= tol:
-                v[r] = u
-            elif abs(cval - (1.0 - s)) <= tol:
-                v_p[r] = u
-            else:
-                raise RecoveryError(
-                    f"row {r}: coefficient {cval} matches neither 1, s nor 1-s"
-                )
-        elif nz.size == 2:
-            ca, cb = c[nz[0]], c[nz[1]]
-            if abs(ca - s) <= tol and abs(cb - (1.0 - s)) <= tol:
-                v[r] = vocabulary[nz[0]]
-                v_p[r] = vocabulary[nz[1]]
-            elif abs(ca - (1.0 - s)) <= tol and abs(cb - s) <= tol:
-                v[r] = vocabulary[nz[1]]
-                v_p[r] = vocabulary[nz[0]]
-            else:
-                raise RecoveryError(
-                    f"row {r}: coefficients ({ca}, {cb}) are not (s, 1-s) in either order"
-                )
-        else:
-            raise RecoveryError(
-                f"row {r}: {nz.size} vocabulary components; a two-source mix has at most 2"
-            )
-    return v, v_p
+    ia, ib = _split_coefficients(_coefficients_over_vocabulary(v_mixed, vocabulary, tol), s, tol)
+    vocabulary_star = np.concatenate([vocabulary, np.zeros((1, vocabulary.shape[1]))])
+    return vocabulary_star[ia], vocabulary_star[ib]
 
 
 def recover_features_basis(
@@ -245,41 +269,17 @@ def recover_features_basis(
     """Decode v_mixed = s*v + (1-s)*v' when the coefficient collection is independent.
 
     Projects the mixed rows onto the span basis to obtain the mixed
-    coefficient matrix, then searches the training collection exhaustively
-    for the unique source pair (T, T') with s*T + (1-s)*T' matching it.
+    coefficient matrix, solves for its unique coefficients over the training
+    collection, and reads the source pair (T, T') off them.
     """
     v_mixed = np.atleast_2d(np.asarray(v_mixed, dtype=np.float64))
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    if not basis.t_set_independent():
-        raise RecoveryError("coefficient collection is not linearly independent")
-
-    t_mixed = coefficients_in_basis(v_mixed, basis.basis)
-    residual = np.max(np.abs(t_mixed @ basis.basis - v_mixed))
-    if residual > tol:
-        raise RecoveryError(
-            f"mixed features leave SPAN(V): projection residual {residual:.3e}"
-        )
-
-    n = v_mixed.shape[0]
-    candidates = [_pad_rows(t, n) for t in basis.t_set if t.shape[0] <= n]
-    matches = []
-    for ta in candidates:
-        for tb in candidates:
-            if np.max(np.abs(s * ta + (1.0 - s) * tb - t_mixed)) <= tol:
-                matches.append((ta, tb))
-    if not matches:
+    coeff, members = _coefficients_over_t_set(v_mixed, basis, tol)
+    ia, ib = _split_coefficients(coeff, s, tol)
+    if ia[0] < 0 or ib[0] < 0:
         raise RecoveryError("no training coefficient pair reproduces the mixed features")
-    if len(matches) > 1:
-        raise RecoveryError(f"{len(matches)} coefficient pairs match; decomposition not unique")
-    ta, tb = matches[0]
-    return ta @ basis.basis, tb @ basis.basis
-
-
-def _soft_coefficient_values(coeff: np.ndarray, tol: float) -> list[float]:
-    flat = coeff.ravel()
-    soft = flat[(np.abs(flat) > tol) & (np.abs(flat - 1.0) > tol)]
-    return _cluster_values(soft, tol) if soft.size else []
+    return members[ia[0]] @ basis.basis, members[ib[0]] @ basis.basis
 
 
 def _infer_ratio_from_features(
@@ -288,15 +288,11 @@ def _infer_ratio_from_features(
     """The mixing ratio implied by the feature matrix alone, or None if the
     feature sides are identical too. Used when the edge step is degenerate."""
     if mode == "independent":
-        coeff = coefficients_in_basis(v_mixed, basis.vocabulary)
-        if np.max(np.abs(coeff @ basis.vocabulary - v_mixed)) > tol:
-            raise RecoveryError("mixed features leave SPAN(V)")
-        soft = _soft_coefficient_values(coeff, tol)
+        coeff = _coefficients_over_vocabulary(v_mixed, basis.vocabulary, tol)
     else:
-        t_mixed = coefficients_in_basis(v_mixed, basis.basis)
-        if np.max(np.abs(t_mixed @ basis.basis - v_mixed)) > tol:
-            raise RecoveryError("mixed features leave SPAN(V)")
-        soft = _solve_ratio_from_t(t_mixed, basis, tol)
+        coeff, _ = _coefficients_over_t_set(v_mixed, basis, tol)
+    flat = coeff.ravel()
+    soft = _cluster_values(flat[(np.abs(flat) > tol) & (np.abs(flat - 1.0) > tol)], tol)
     if not soft:
         return None
     if len(soft) == 1:
@@ -308,28 +304,6 @@ def _infer_ratio_from_features(
     if abs(s - 0.5) < tol:
         raise RecoveryError("mixing ratio indistinguishable from 0.5")
     return min(s, 1.0 - s)
-
-
-def _solve_ratio_from_t(t_mixed: np.ndarray, basis: FeatureBasis, tol: float) -> list[float]:
-    """Candidate ratios s solving t_mixed = s*T + (1-s)*T' over the training pairs."""
-    n = t_mixed.shape[0]
-    candidates = [_pad_rows(t, n) for t in basis.t_set if t.shape[0] <= n]
-    found: list[float] = []
-    for ta in candidates:
-        for tb in candidates:
-            diff = ta - tb
-            mask = np.abs(diff) > tol
-            if not mask.any():
-                continue
-            ratios = (t_mixed[mask] - tb[mask]) / diff[mask]
-            s = float(ratios.flat[0])
-            if not 0.0 < s < 1.0:
-                continue
-            if np.max(np.abs(ratios - s)) > tol:
-                continue
-            if np.max(np.abs(s * ta + (1.0 - s) * tb - t_mixed)) <= tol:
-                found.append(s)
-    return _cluster_values(np.array(found), tol) if found else []
 
 
 def strip_dummy_nodes(g: NodeFeaturedGraph, tol: float = DEFAULT_TOL) -> NodeFeaturedGraph:
@@ -361,47 +335,27 @@ def recover_pair(
     if mode not in ("independent", "basis"):
         raise ValueError(f"unknown recovery mode {mode!r}")
 
-    edge_set = edge_solutions(g_mixed.e, tol)
-    if not edge_set.degenerate:
-        sol = edge_set.solutions[0]  # canonical: s < 0.5
-        s = float(sol.s)
-        va, vb = _recover_features(g_mixed.v, s, basis, mode, tol)
-        ga = NodeFeaturedGraph(va, sol.e)
-        gb = NodeFeaturedGraph(vb, sol.e_prime)
-        acting_s = s
-        identical = False
-    else:
-        sol = edge_set.solutions[0]
-        s_feat = _infer_ratio_from_features(g_mixed.v, basis, mode, tol)
-        if s_feat is None:
-            ga = NodeFeaturedGraph(g_mixed.v.copy(), sol.e)
-            gb = NodeFeaturedGraph(g_mixed.v.copy(), sol.e_prime)
-            return RecoveredPair(
-                strip_dummy_nodes(ga, tol), strip_dummy_nodes(gb, tol), None, True
-            )
-        va, vb = _recover_features(g_mixed.v, s_feat, basis, mode, tol)
-        ga = NodeFeaturedGraph(va, sol.e)
-        gb = NodeFeaturedGraph(vb, sol.e_prime)
-        acting_s = s_feat
-        identical = False
+    sol = edge_solutions(g_mixed.e, tol).solutions[0]  # canonical: s < 0.5
+    s = sol.s if sol.s is not None else _infer_ratio_from_features(g_mixed.v, basis, mode, tol)
+    if s is None:
+        ga = NodeFeaturedGraph(g_mixed.v.copy(), sol.e)
+        gb = NodeFeaturedGraph(g_mixed.v.copy(), sol.e_prime)
+        return RecoveredPair(strip_dummy_nodes(ga, tol), strip_dummy_nodes(gb, tol), None, True)
 
-    remix_e = acting_s * ga.e + (1.0 - acting_s) * gb.e
-    remix_v = acting_s * ga.v + (1.0 - acting_s) * gb.v
+    if mode == "independent":
+        va, vb = recover_features_independent(g_mixed.v, s, basis.vocabulary, tol)
+    else:
+        va, vb = recover_features_basis(g_mixed.v, s, basis, tol)
+    ga = NodeFeaturedGraph(va, sol.e)
+    gb = NodeFeaturedGraph(vb, sol.e_prime)
+
+    remix_e = s * ga.e + (1.0 - s) * gb.e
+    remix_v = s * ga.v + (1.0 - s) * gb.v
     drift = max(np.max(np.abs(remix_e - g_mixed.e)), np.max(np.abs(remix_v - g_mixed.v)))
     if drift > 10 * tol:
         raise RecoveryError(f"edge and feature recoveries disagree: remix residual {drift:.3e}")
 
-    return RecoveredPair(
-        strip_dummy_nodes(ga, tol), strip_dummy_nodes(gb, tol), acting_s, identical
-    )
-
-
-def _recover_features(
-    v_mixed: np.ndarray, s: float, basis: FeatureBasis, mode: str, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    if mode == "independent":
-        return recover_features_independent(v_mixed, s, basis.vocabulary, tol)
-    return recover_features_basis(v_mixed, s, basis, tol)
+    return RecoveredPair(strip_dummy_nodes(ga, tol), strip_dummy_nodes(gb, tol), s)
 
 
 @dataclass

@@ -256,6 +256,8 @@ def _sample_loss_t(
         trace = forward_trace(sample.g, wrapped, params, training=True, rng=rng)
         return cross_entropy_t(sample.y, trace.logits)
 
+    if sample.layer is not None and not 1 <= sample.layer <= cfg.k:
+        raise ValueError(f"manifold-mix layer {sample.layer} outside 1..{cfg.k}")
     ga, gb = sample.pair
     # Source passes run without dropout; the single dropout draw happens on the
     # mixed logits, i.e. after the dense layer as configured.

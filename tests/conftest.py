@@ -22,6 +22,18 @@ def mutag_available() -> bool:
     return os.path.exists(os.path.join(MUTAG_DIR, "MUTAG_A.txt"))
 
 
+def source_env() -> dict[str, str]:
+    """The caller's environment, with the tested ``ifmixup`` first on PYTHONPATH.
+
+    A fresh interpreter then imports the source under test, not some other
+    installed copy.
+    """
+    env = dict(os.environ)
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(m.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def rand_one_hot_graph(
     rng: np.random.Generator, n: int, d: int, edge_prob: float = 0.35
 ) -> m.NodeFeaturedGraph:

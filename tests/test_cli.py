@@ -15,6 +15,8 @@ import pytest
 import ifmixup as m
 from ifmixup.cli import run_command
 
+from conftest import source_env
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 PYPROJECT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml"
@@ -274,18 +276,6 @@ class TestPlot:
         path.write_text("a,b\n1,2\n")
         assert run_command(["plot", str(path), "--out", str(tmp_path / "x")]) == 1
         assert "expected columns" in capsys.readouterr().err
-
-
-def source_env() -> dict[str, str]:
-    """The caller's environment, with the tested ``ifmixup`` first on PYTHONPATH.
-
-    A fresh interpreter then imports the source under test, not some other
-    installed copy.
-    """
-    env = dict(os.environ)
-    source_root = os.path.dirname(os.path.dirname(os.path.abspath(m.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-    return env
 
 
 def assert_top_level_help(argv: list[str], env: dict[str, str] | None = None) -> None:

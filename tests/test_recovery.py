@@ -117,6 +117,16 @@ class TestRecoverFeaturesIndependent:
         with pytest.raises(RecoveryError):
             m.recover_features_independent(np.array([[0.5, 0.0, 0.0]]), 0.7, ONE_HOTS_3)
 
+    def test_rejected_row_is_named(self):
+        # rows 0-1 decode; row 2 holds three components, row 3 (s, s)
+        mixed = np.array(
+            [[0.7, 0.3, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5], [0.7, 0.7, 0.0]]
+        )
+        with pytest.raises(RecoveryError, match=r"^row 2: "):
+            m.recover_features_independent(mixed, 0.7, ONE_HOTS_3)
+        with pytest.raises(RecoveryError, match=r"^row 1: "):
+            m.recover_features_independent(mixed[[0, 3]], 0.7, ONE_HOTS_3)
+
     def test_off_span_rejected(self):
         voc = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(RecoveryError):
@@ -162,6 +172,13 @@ class TestRecoverFeaturesBasis:
         with pytest.raises(RecoveryError):
             m.recover_features_basis(bad.reshape(1, -1), 0.7, fb)
 
+    def test_dummy_side_rejected(self):
+        # coefficients (0.7, 0): one side would be an all-dummy graph, which
+        # is not a training graph
+        fb = hand_basis()
+        with pytest.raises(RecoveryError, match="no training coefficient pair"):
+            m.recover_features_basis(0.7 * fb.basis[:1], 0.7, fb)
+
     def test_dependent_t_set_rejected(self):
         fb = hand_basis()
         fb.t_set = [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])]
@@ -186,6 +203,117 @@ class TestRecoverFeaturesBasis:
         v, vp = m.recover_features_basis(mixed, 0.7, fb)
         assert np.allclose(v, t2 @ basis)
         assert np.allclose(vp, np.vstack([t1 @ basis, np.zeros((1, 2))]))
+
+
+    def test_half_rejected(self):
+        fb = hand_basis()
+        mixed = 0.5 * fb.basis[0] + 0.5 * fb.basis[1]
+        with pytest.raises(RecoveryError, match="0.5"):
+            m.recover_features_basis(mixed.reshape(1, -1), 0.5, fb)
+
+
+def pad_to(t: np.ndarray, n: int) -> np.ndarray:
+    return np.vstack([t, np.zeros((n - t.shape[0], t.shape[1]))])
+
+
+def search_pairs(v_mixed, s, fb, tol=1e-9):
+    """Every ordered training pair (a, b) with s*T_a + (1-s)*T_b equal to the
+    mixed coefficients, by exhaustive search: the reference for the decoder."""
+    t_mixed = m.coefficients_in_basis(v_mixed, fb.basis)
+    n = v_mixed.shape[0]
+    fits = [(i, pad_to(t, n)) for i, t in enumerate(fb.t_set) if t.shape[0] <= n]
+    return [
+        (a, b)
+        for a, ta in fits
+        for b, tb in fits
+        if np.max(np.abs(s * ta + (1.0 - s) * tb - t_mixed)) <= tol
+    ]
+
+
+def search_ratios(v_mixed, fb, tol=1e-9):
+    """Every s in (tol, 1 - tol) for which some ordered training pair
+    reproduces the mixed coefficients, by exhaustive search. Ratios within
+    tol of 0 or 1 are rounding noise: s*T + (1-s)*T' equals T' there."""
+    t_mixed = m.coefficients_in_basis(v_mixed, fb.basis)
+    n = v_mixed.shape[0]
+    fits = [pad_to(t, n) for t in fb.t_set if t.shape[0] <= n]
+    found = []
+    for ta in fits:
+        for tb in fits:
+            mask = np.abs(ta - tb) > tol
+            if not mask.any():
+                continue
+            s = float((t_mixed[mask] - tb[mask]).flat[0] / (ta - tb)[mask].flat[0])
+            if tol < s < 1.0 - tol and np.max(np.abs(s * ta + (1.0 - s) * tb - t_mixed)) <= tol:
+                found.append(s)
+    return found
+
+
+def random_basis_instance(rng: np.random.Generator) -> m.FeatureBasis:
+    """2-6 independent coefficient matrices of 1-4 rows over a random basis."""
+    r = int(rng.integers(2, 4))
+    d = r + int(rng.integers(0, 2))
+    basis = rng.integers(-1, 2, size=(r, d)).astype(float)
+    while not m.check_linear_independence(basis)[0]:
+        basis = rng.integers(-1, 2, size=(r, d)).astype(float)
+    count = int(rng.integers(2, 7))
+    while True:
+        t_set = []
+        for _ in range(count):
+            t = rng.integers(0, 3, size=(int(rng.integers(1, 5)), r)).astype(float)
+            t[~t.any(axis=1), 0] = 1.0  # a zero feature row would read as a dummy node
+            t_set.append(t)
+        fb = m.FeatureBasis(
+            vocabulary=basis,
+            vocabulary_star=np.vstack([basis, np.zeros((1, d))]),
+            rank=r,
+            basis=basis,
+            coeffs=t_set,
+            t_set=t_set,
+        )
+        if fb.t_set_independent():
+            return fb
+
+
+class TestBasisModeAgainstSearch:
+    RATIOS = (0.13, 0.3, 0.62, 0.85)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_decoder_matches_search(self, seed):
+        fb = random_basis_instance(np.random.default_rng(seed))
+        for a, ta in enumerate(fb.t_set):
+            for b, tb in enumerate(fb.t_set):
+                n = max(ta.shape[0], tb.shape[0])
+                for s in self.RATIOS:
+                    v_mixed = (s * pad_to(ta, n) + (1.0 - s) * pad_to(tb, n)) @ fb.basis
+                    assert search_pairs(v_mixed, s, fb) == [(a, b)]
+                    va, vb = m.recover_features_basis(v_mixed, s, fb)
+                    assert np.abs(va - pad_to(ta, n) @ fb.basis).max() <= 1e-9
+                    assert np.abs(vb - pad_to(tb, n) @ fb.basis).max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_identical_edge_ratio_matches_search(self, seed):
+        # edgeless sources: the edge step is degenerate and the ratio must
+        # come from the feature coefficients alone
+        fb = random_basis_instance(np.random.default_rng(seed))
+        for a, ta in enumerate(fb.t_set):
+            for b, tb in enumerate(fb.t_set):
+                n = max(ta.shape[0], tb.shape[0])
+                for s in self.RATIOS:
+                    v_mixed = (s * pad_to(ta, n) + (1.0 - s) * pad_to(tb, n)) @ fb.basis
+                    ratios = search_ratios(v_mixed, fb)
+                    rec = m.recover_pair(m.NodeFeaturedGraph(v_mixed, np.zeros((n, n))), fb, "basis")
+                    if a == b:
+                        assert ratios == [] and rec.lam is None and rec.sources_identical
+                        continue
+                    assert ratios
+                    assert all(min(abs(r - s), abs(r - (1.0 - s))) <= 1e-9 for r in ratios)
+                    assert rec.lam == pytest.approx(min(ratios), abs=1e-9)
+                    sources = [pad_to(ta, n) @ fb.basis, pad_to(tb, n) @ fb.basis]
+                    if rec.lam != pytest.approx(s, abs=1e-9):
+                        sources.reverse()
+                    assert np.abs(pad_to(rec.graph_a.v, n) - sources[0]).max() <= 1e-9
+                    assert np.abs(pad_to(rec.graph_b.v, n) - sources[1]).max() <= 1e-9
 
 
 def two_graph_basis(a: m.NodeFeaturedGraph, b: m.NodeFeaturedGraph) -> m.FeatureBasis:

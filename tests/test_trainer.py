@@ -312,6 +312,14 @@ class TestBatchGradients:
         reference = self.reference_loss(y, h, params.tensors["head.W"], params.tensors["head.b"])
         assert loss == pytest.approx(reference, abs=1e-12)
 
+    @pytest.mark.parametrize("arch", ["gcn", "gin"])
+    @pytest.mark.parametrize("layer", [0, 4])
+    def test_manifold_layer_out_of_range_rejected(self, tiny_dataset, arch, layer):
+        params, ga, gb, lam, y = self.mixed_pair(tiny_dataset, arch, 3, 4)
+        sample = EpochSample(y=y, pair=(ga, gb), lam=lam, layer=layer)
+        with pytest.raises(ValueError, match=rf"layer {layer} outside 1\.\.3"):
+            batch_gradients([sample], params, np.random.default_rng(0))
+
     @pytest.mark.parametrize("kind,arch", [("mixup_graph", "gcn"), ("manifold_mixup", "gin")])
     def test_deferred_pair_gradients_match_finite_differences(self, tiny_dataset, kind, arch):
         # dropout on: each call gets the same seeded rng, so the masks are fixed
