@@ -4,9 +4,9 @@ A ``Tensor`` wraps a numpy array and records the operation that produced it.
 Calling ``backward()`` on a scalar result walks the tape in reverse
 topological order and accumulates gradients into every tensor created with
 ``requires_grad=True``. Only the handful of operations needed by the graph
-models is implemented: affine maps, elementwise arithmetic, ReLU, reductions
-over nodes, row slicing/concatenation, and a numerically safe log/softmax
-for the cross-entropy head.
+models is implemented: affine maps, elementwise arithmetic, ReLU, sums,
+row slicing/concatenation, per-graph aggregation over a packed batch of
+graphs, and a numerically safe log/softmax for the cross-entropy head.
 
 Gradients accumulate across calls (the usual convention), so parameters that
 participate in several forward passes per step receive the summed gradient.
@@ -45,8 +45,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # a copy: the caller may hand the same array to several parents
+            self.grad = np.array(g, dtype=np.float64, copy=True)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded tape."""
@@ -78,8 +80,10 @@ class Tensor:
         a, b = self, other
 
         def bw(g: np.ndarray) -> None:
-            a._accumulate(g @ b.value.T)
-            b._accumulate(a.value.T @ g)
+            if a.requires_grad:
+                a._accumulate(g @ b.value.T)
+            if b.requires_grad:
+                b._accumulate(a.value.T @ g)
 
         return Tensor(a.value @ b.value, parents=(a, b), backward=bw)
 
@@ -105,8 +109,10 @@ class Tensor:
         a, b = self, other
 
         def bw(g: np.ndarray) -> None:
-            a._accumulate(_unbroadcast(g * b.value, a.value.shape))
-            b._accumulate(_unbroadcast(g * a.value, b.value.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g * b.value, a.value.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g * a.value, b.value.shape))
 
         return Tensor(a.value * b.value, parents=(a, b), backward=bw)
 
@@ -132,25 +138,11 @@ class Tensor:
 
         def bw(g: np.ndarray) -> None:
             if axis is None:
-                a._accumulate(np.broadcast_to(g, a.value.shape).copy())
+                a._accumulate(np.broadcast_to(g, a.value.shape))
             else:
-                a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy())
+                a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.value.shape))
 
         return Tensor(a.value.sum(axis=axis), parents=(a,), backward=bw)
-
-    def mean_rows(self) -> "Tensor":
-        """Mean over axis 0 (pooling a node dimension)."""
-        n = self.value.shape[0]
-        return self.sum(axis=0).scale(1.0 / n)
-
-    def reshape(self, shape: tuple[int, ...]) -> "Tensor":
-        a = self
-        old = a.value.shape
-
-        def bw(g: np.ndarray) -> None:
-            a._accumulate(g.reshape(old))
-
-        return Tensor(a.value.reshape(shape), parents=(a,), backward=bw)
 
     def slice_rows(self, start: int, stop: int) -> "Tensor":
         a = self
@@ -214,6 +206,36 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor(
         np.concatenate([t.value for t in parts], axis=axis), parents=tuple(parts), backward=bw
     )
+
+
+def segment_matmul(blocks: list[np.ndarray], h: Tensor, rows: np.ndarray) -> Tensor:
+    """``block_b @ h_b`` for every segment ``h_b`` of the rows of ``h``.
+
+    ``blocks`` is a list of constant ``(B_k, n_k, n_k)`` stacks. Laid end to
+    end they give ``sum_k B_k * n_k`` padded rows, ``n_k`` per block: the
+    segment's own rows first, zero rows after. ``rows[i]`` is the padded
+    position of row ``i`` of ``h``. The rows are scattered into the padded
+    layout, each stack is multiplied with one ``np.matmul``, and the result
+    is gathered back; backward does the same with the transposed blocks.
+    """
+    total = sum(stack.shape[0] * stack.shape[1] for stack in blocks)
+
+    def batched(stacks: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+        padded = np.zeros((total, x.shape[1]))
+        padded[rows] = x
+        start = 0
+        for mats in stacks:
+            count, n, _ = mats.shape
+            stop = start + count * n
+            segments = padded[start:stop].reshape(count, n, -1)
+            padded[start:stop] = np.matmul(mats, segments).reshape(count * n, -1)
+            start = stop
+        return padded[rows]
+
+    def bw(g: np.ndarray) -> None:
+        h._accumulate(batched([stack.transpose(0, 2, 1) for stack in blocks], g))
+
+    return Tensor(batched(blocks, h.value), parents=(h,), backward=bw)
 
 
 def constant(value: np.ndarray) -> Tensor:

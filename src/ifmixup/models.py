@@ -18,9 +18,15 @@ dropout on its logits and a softmax produce class probabilities. The loss
 is soft-label cross-entropy, linear in the target, so mixed labels plug in
 directly.
 
-Forward passes are built on the :mod:`.autodiff` tape. The exact gradient
-of the batch-mean loss for every parameter, including the GIN eps scalars,
-comes from ``batch_gradients`` and ``model_gradients`` in :mod:`.training`.
+Forward passes are built on the :mod:`.autodiff` tape and always run on a
+packed batch (``pack_graphs``), the disjoint union of its graphs: one
+matrix of node rows, so the dense maps are one GEMM per batch, plus each
+graph's aggregation matrix zero-padded into a stack of graphs of similar
+size for ``autodiff.segment_matmul``. Readout is a constant (B x N) matrix
+on the node rows. ``forward_trace`` is that forward on a batch of one. The
+exact gradient of the batch-mean loss for every parameter, including the
+GIN eps scalars, comes from ``batch_gradients`` and ``model_gradients`` in
+:mod:`.training`.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autodiff import Tensor, concat, constant, parameter
+from .autodiff import Tensor, concat, constant, parameter, segment_matmul
 from .graphs import LabelDistribution, NodeFeaturedGraph
 
 LOG_CLAMP = 1e-12
@@ -149,7 +155,36 @@ def wrap_params(params: ModelParams, requires_grad: bool = True) -> dict[str, Te
     return {name: make(arr) for name, arr in params.tensors.items()}
 
 
-# -- layers (tensor level) ---------------------------------------------------
+# -- packed batches -----------------------------------------------------------
+
+
+@dataclass(eq=False)
+class PackedGraphs:
+    """A batch of graphs as one disjoint union.
+
+    The node rows of all graphs are stacked graph after graph, so each dense
+    map (GCN ``W``, the GIN MLP) is one GEMM over the whole batch, and there
+    are no padding rows for a bias to leak into. Only aggregation over
+    neighbours keeps the graphs apart: each graph's aggregation matrix (its
+    GCN normalization, or the raw edge weights for GIN) sits zero-padded in
+    one of the ``edges`` stacks. A stack holds the largest graph not yet
+    placed and every remaining graph at least half its size, padded to the
+    largest, so padding at most quadruples a graph's aggregation work and
+    memory however widely the graph sizes spread.
+    """
+
+    v: np.ndarray  # (N, d) node features, N the sum of the graph sizes
+    edges: list[np.ndarray]  # (B_k, n_k, n_k) aggregation matrices, n_k falling
+    rows: np.ndarray  # (N,) position of each node row among the stacks' padded rows
+    pool: np.ndarray  # (B, N) readout weights: 1 for sum, 1/n_b for mean
+
+    def aggregate(self, h: Tensor) -> Tensor:
+        """Each graph's aggregation matrix applied to its own node rows."""
+        return segment_matmul(self.edges, h, self.rows)
+
+    def readout(self, h: Tensor) -> Tensor:
+        """Per-graph sum or mean of the node rows: one (B x width) row each."""
+        return constant(self.pool) @ h
 
 
 def _gcn_norm(e: np.ndarray) -> np.ndarray:
@@ -160,20 +195,48 @@ def _gcn_norm(e: np.ndarray) -> np.ndarray:
     return a_hat * np.outer(inv_sqrt, inv_sqrt)
 
 
+def pack_graphs(graphs: list[NodeFeaturedGraph], config: ModelConfig) -> PackedGraphs:
+    """Pack nonempty graphs of one feature width for ``config``'s layers and readout."""
+    sizes = np.array([g.n for g in graphs])
+    count, total = len(graphs), int(sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    rows = np.empty(total, dtype=np.intp)
+    edges, padded_start = [], 0
+    order = np.argsort(-sizes, kind="stable")
+    while order.size:
+        n = int(sizes[order[0]])
+        group, order = np.split(order, [np.count_nonzero(2 * sizes[order] >= n)])
+        stack = np.zeros((len(group), n, n))
+        for slot, b in enumerate(group):
+            g = graphs[b]
+            stack[slot, : g.n, : g.n] = _gcn_norm(g.e) if config.arch == "gcn" else g.e
+            rows[starts[b] : starts[b] + g.n] = padded_start + slot * n + np.arange(g.n)
+        edges.append(stack)
+        padded_start += len(group) * n
+    graph_of_row = np.repeat(np.arange(count), sizes)
+    weights = 1.0 / sizes if config.readout == "mean" else np.ones(count)
+    pool = np.zeros((count, total))
+    pool[graph_of_row, np.arange(total)] = weights[graph_of_row]
+    return PackedGraphs(np.concatenate([g.v for g in graphs]), edges, rows, pool)
+
+
+# -- layers (tensor level) ---------------------------------------------------
+
+
 def gcn_layer_t(
-    h: Tensor, e: np.ndarray, w: Tensor, skip_proj: Tensor | None, skip: bool
+    h: Tensor, packed: PackedGraphs, w: Tensor, skip_proj: Tensor | None, skip: bool
 ) -> Tensor:
-    out = (constant(_gcn_norm(e)) @ h @ w).relu()
+    out = (packed.aggregate(h) @ w).relu()
     if skip:
         out = out + (h @ skip_proj if skip_proj is not None else h)
     return out
 
 
 def gin_layer_t(
-    h: Tensor, e: np.ndarray, eps: Tensor, mlp: list[tuple[Tensor, Tensor | None]]
+    h: Tensor, packed: PackedGraphs, eps: Tensor, mlp: list[tuple[Tensor, Tensor | None]]
 ) -> Tensor:
     one_plus_eps = constant(np.ones(1)) + eps
-    agg = h * one_plus_eps + constant(e) @ h
+    agg = h * one_plus_eps + packed.aggregate(h)
     out = agg
     for m, (w, b) in enumerate(mlp):
         out = out @ w
@@ -184,14 +247,13 @@ def gin_layer_t(
     return out
 
 
-def _pool(h: Tensor, readout: str) -> Tensor:
-    pooled = h.mean_rows() if readout == "mean" else h.sum(axis=0)
-    return pooled.reshape((1, pooled.value.shape[0]))
-
-
 @dataclass(eq=False)
 class TensorTrace:
-    """Forward intermediates kept on the tape, for losses built downstream."""
+    """Forward intermediates kept on the tape, for losses built downstream.
+
+    Rows follow the graphs of the batch: ``embeddings`` holds the packed
+    node rows of each layer, the rest one row per graph.
+    """
 
     embeddings: list[Tensor]
     pooled: list[Tensor]
@@ -200,27 +262,27 @@ class TensorTrace:
     probs: Tensor
 
 
-def forward_trace(
-    g: NodeFeaturedGraph,
-    wrapped: dict[str, Tensor],
-    params: ModelParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> TensorTrace:
-    """Run the configured stack on one graph, keeping intermediates on-tape."""
+def embed_batch(
+    graphs: list[NodeFeaturedGraph], wrapped: dict[str, Tensor], params: ModelParams
+) -> tuple[list[Tensor], list[Tensor], Tensor]:
+    """The layer stack on a packed batch: (embeddings, pooled, h_graph)."""
     cfg = params.config
-    if g.n == 0:
-        raise ValueError("cannot classify an empty graph")
-    if g.d != params.feature_dim:
-        raise ValueError(f"feature dim {g.d} does not match params ({params.feature_dim})")
+    if not graphs:
+        raise ValueError("cannot embed an empty batch of graphs")
+    for g in graphs:
+        if g.n == 0:
+            raise ValueError("cannot classify an empty graph")
+        if g.d != params.feature_dim:
+            raise ValueError(f"feature dim {g.d} does not match params ({params.feature_dim})")
+    packed = pack_graphs(graphs, cfg)
 
-    h = constant(g.v)
+    h = constant(packed.v)
     embeddings: list[Tensor] = []
     for layer in range(cfg.k):
         if cfg.arch == "gcn":
             h = gcn_layer_t(
                 h,
-                g.e,
+                packed,
                 wrapped[f"layer{layer}.W"],
                 wrapped.get(f"layer{layer}.P"),
                 cfg.gcn_skip,
@@ -233,18 +295,40 @@ def forward_trace(
                 )
                 for m in range(cfg.gin_mlp_depth)
             ]
-            h = gin_layer_t(h, g.e, wrapped[f"layer{layer}.eps"], mlp)
+            h = gin_layer_t(h, packed, wrapped[f"layer{layer}.eps"], mlp)
         embeddings.append(h)
 
-    pooled = [_pool(e, cfg.readout) for e in embeddings]
+    pooled = [packed.readout(e) for e in embeddings]
     h_graph = concat(pooled, axis=1) if cfg.arch == "gin" else pooled[-1]
-    logits = head_logits(h_graph, wrapped)
-    logits = apply_dropout(logits, cfg.dropout, training, rng)
+    return embeddings, pooled, h_graph
+
+
+def forward_batch(
+    graphs: list[NodeFeaturedGraph],
+    wrapped: dict[str, Tensor],
+    params: ModelParams,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> TensorTrace:
+    """Run the configured stack on a packed batch, keeping intermediates on-tape."""
+    embeddings, pooled, h_graph = embed_batch(graphs, wrapped, params)
+    logits = apply_dropout(head_logits(h_graph, wrapped), params.config.dropout, training, rng)
     return TensorTrace(embeddings, pooled, h_graph, logits, logits.softmax())
 
 
+def forward_trace(
+    g: NodeFeaturedGraph,
+    wrapped: dict[str, Tensor],
+    params: ModelParams,
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+) -> TensorTrace:
+    """Run the configured stack on one graph: the packed forward on a batch of one."""
+    return forward_batch([g], wrapped, params, training, rng)
+
+
 def head_logits(h_graph: Tensor, wrapped: dict[str, Tensor]) -> Tensor:
-    """The dense classifier layer on a (1 x readout_dim) representation."""
+    """The dense classifier layer on (B x readout_dim) representations."""
     return h_graph @ wrapped["head.W"] + wrapped["head.b"]
 
 
@@ -302,14 +386,18 @@ def soft_cross_entropy(y_target: LabelDistribution, p: np.ndarray) -> float:
     return float(-(y_target.p * np.log(np.maximum(p, LOG_CLAMP))).sum())
 
 
-def cross_entropy_t(y_target: LabelDistribution, logits: Tensor) -> Tensor:
-    """Tape version of soft_cross_entropy on a (1 x C) logits tensor.
+def cross_entropy_t(
+    y_target: LabelDistribution | list[LabelDistribution], logits: Tensor
+) -> Tensor:
+    """Tape version of soft_cross_entropy, summed over the rows of (B x C) logits.
 
+    ``y_target`` gives one target per row; a single target stands for B = 1.
     Built from log-softmax rather than log(softmax): the same value wherever
     probabilities stay above the clamp, but with the exact gradient p - y,
     which a saturated softmax feeding a clamped log would zero out.
     """
-    y = constant(y_target.p.reshape(1, -1))
+    targets = [y_target] if isinstance(y_target, LabelDistribution) else y_target
+    y = constant(np.stack([t.p for t in targets]))
     return (y * logits.log_softmax()).sum().scale(-1.0)
 
 

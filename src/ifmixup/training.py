@@ -8,6 +8,11 @@ samples replace the originals for that epoch; the drop variants perturb
 every graph freshly; the readout/manifold mixing variants defer the actual
 interpolation to the forward pass so gradients flow through both sources.
 
+Each training step is one packed forward and backward over the whole batch
+(two forwards when it holds deferred pairs: all A sides, then all B sides),
+and evaluation packs the graphs in chunks of at most ``EVAL_ROWS`` node
+rows.
+
 Everything is deterministic given the config seed. Folds and runs use
 derived rng substreams seeded by (seed, run, fold), so they can be computed
 in any order (or in parallel) with identical results.
@@ -22,7 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .augment import AugmentSpec
-from .autodiff import Tensor
+from .autodiff import Tensor, constant
 from .graphs import (
     GraphDataset,
     LabelDistribution,
@@ -36,10 +41,9 @@ from .models import (
     ModelParams,
     apply_dropout,
     cross_entropy_t,
-    forward_classify,
-    forward_trace,
+    embed_batch,
+    forward_batch,
     head_logits,
-    head_logits_layer_block,
     init_params,
     wrap_params,
 )
@@ -50,6 +54,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LR_HALVING_PERIOD = 50
+# Node rows per packed forward in evaluate: bounds the activations on its tape.
+EVAL_ROWS = 2048
 
 # The benchmark search grid, exposed for sweep tooling.
 HYPERPARAMETER_GRID: dict[str, tuple] = {
@@ -245,37 +251,44 @@ def build_epoch_stream(
 # -- gradients over heterogeneous batches ------------------------------------------
 
 
-def _sample_loss_t(
-    sample: EpochSample,
-    wrapped: dict,
-    params: ModelParams,
-    rng: np.random.Generator,
+def _mixed_rows(
+    batch: list[EpochSample],
+    side_a: tuple[list[Tensor], list[Tensor], Tensor],
+    side_b: tuple[list[Tensor], list[Tensor], Tensor],
+    cfg: ModelConfig,
 ) -> Tensor:
-    cfg = params.config
-    if sample.pair is None:
-        trace = forward_trace(sample.g, wrapped, params, training=True, rng=rng)
-        return cross_entropy_t(sample.y, trace.logits)
+    """Each sample's head input, lam * A + (1 - lam) * B at its mixing point.
 
-    if sample.layer is not None and not 1 <= sample.layer <= cfg.k:
-        raise ValueError(f"manifold-mix layer {sample.layer} outside 1..{cfg.k}")
-    ga, gb = sample.pair
-    # Source passes run without dropout; the single dropout draw happens on the
-    # mixed logits, i.e. after the dense layer as configured.
-    ta = forward_trace(ga, wrapped, params, training=False)
-    tb = forward_trace(gb, wrapped, params, training=False)
-    lam = float(sample.lam)
-    if sample.layer is None:
-        h = ta.h_graph.scale(lam) + tb.h_graph.scale(1.0 - lam)
-        logits = head_logits(h, wrapped)
-    else:
-        k = sample.layer
-        h = ta.pooled[k - 1].scale(lam) + tb.pooled[k - 1].scale(1.0 - lam)
-        if cfg.arch == "gin":
-            logits = head_logits_layer_block(h, wrapped, k - 1, cfg.hidden)
-        else:
-            logits = head_logits(h, wrapped)
-    logits = apply_dropout(logits, cfg.dropout, training=True, rng=rng)
-    return cross_entropy_t(sample.y, logits)
+    A readout mix mixes ``h_graph``. A manifold mix at layer k mixes
+    ``pooled[k-1]``: for GIN the mixed row fills layer k's block of an
+    otherwise zero ``h_graph`` row, which is exactly what
+    ``head_logits_layer_block`` feeds the head; for GCN it takes the place
+    of ``h_graph``. A plain sample is the pair (g, g) at lam = 1. The sides
+    are ``embed_batch`` results, row i for sample i.
+    """
+    lam = np.array([[1.0 if s.pair is None else float(s.lam)] for s in batch])
+
+    def mix(a: Tensor, b: Tensor) -> Tensor:
+        return a * constant(lam) + b * constant(1.0 - lam)
+
+    (_, pooled_a, h_a), (_, pooled_b, h_b) = side_a, side_b
+    layers = [s.layer for s in batch]
+    if all(layer is None for layer in layers):
+        return mix(h_a, h_b)
+    if cfg.arch == "gin":
+        mask = np.ones(h_a.shape)
+        for row, layer in zip(mask, layers):
+            if layer is not None:
+                row[:] = 0.0
+                row[(layer - 1) * cfg.hidden : layer * cfg.hidden] = 1.0
+        return mix(h_a, h_b) * constant(mask)
+    picks = np.array([cfg.k if layer is None else layer for layer in layers])
+    rows: Tensor | None = None
+    for layer in np.unique(picks):
+        part = mix(pooled_a[layer - 1], pooled_b[layer - 1])
+        part = part * constant((picks == layer).astype(np.float64)[:, None])
+        rows = part if rows is None else rows + part
+    return rows
 
 
 def batch_gradients(
@@ -283,15 +296,30 @@ def batch_gradients(
     params: ModelParams,
     rng: np.random.Generator,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss over a heterogeneous batch and its exact gradients."""
+    """Mean loss over a heterogeneous batch and its exact gradients.
+
+    The batch runs on one tape: one packed forward over the samples' graphs
+    (the A sides of deferred pairs), plus one over the B sides when any
+    sample is a deferred pair (a plain sample in such a batch runs again as
+    its own B side). The source passes run without dropout; one dropout
+    draw of shape (B x C) masks the logits after the dense layer, row i for
+    sample i, as B draws of (1 x C) would.
+    """
     if not batch:
         raise ValueError("gradients need a nonempty batch")
-    wrapped = wrap_params(params, requires_grad=True)
-    total: Tensor | None = None
+    cfg = params.config
     for sample in batch:
-        ce = _sample_loss_t(sample, wrapped, params, rng)
-        total = ce if total is None else total + ce
-    loss = total.scale(1.0 / len(batch))
+        if sample.layer is not None and not 1 <= sample.layer <= cfg.k:
+            raise ValueError(f"manifold-mix layer {sample.layer} outside 1..{cfg.k}")
+    wrapped = wrap_params(params, requires_grad=True)
+    side_a = embed_batch([s.g if s.pair is None else s.pair[0] for s in batch], wrapped, params)
+    if all(s.pair is None for s in batch):
+        h = side_a[2]
+    else:
+        side_b = embed_batch([s.g if s.pair is None else s.pair[1] for s in batch], wrapped, params)
+        h = _mixed_rows(batch, side_a, side_b, cfg)
+    logits = apply_dropout(head_logits(h, wrapped), cfg.dropout, training=True, rng=rng)
+    loss = cross_entropy_t([s.y for s in batch], logits).scale(1.0 / len(batch))
     loss.backward()
     grads = {
         name: (w.grad if w.grad is not None else np.zeros_like(w.value))
@@ -307,9 +335,10 @@ def model_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean soft-CE loss over plain (graph, label) pairs and its exact gradient.
 
-    Graphs are processed one at a time in batch order with gradient
-    accumulation, so results are bit-reproducible for a fixed rng state.
-    Parameters that never touch the loss (dead ReLU paths) get zero arrays.
+    The batch runs as one packed forward and backward (see
+    ``batch_gradients``), so results are bit-reproducible for a fixed rng
+    state. Parameters that never touch the loss (dead ReLU paths) get zero
+    arrays.
     """
     return batch_gradients([EpochSample(y=y, g=g) for g, y in batch], params, rng)
 
@@ -317,20 +346,38 @@ def model_gradients(
 # -- training and evaluation --------------------------------------------------------
 
 
+class NonFiniteLossError(FloatingPointError):
+    """A training step produced a loss that is NaN or infinite."""
+
+    def __init__(self, loss: float, epoch: int, batch: int) -> None:
+        super().__init__(f"non-finite training loss {loss} at epoch {epoch}, batch {batch}")
+        self.loss, self.epoch, self.batch = loss, epoch, batch
+
+
 def evaluate(
     params: ModelParams, items: list[tuple[NodeFeaturedGraph, LabelDistribution]]
 ) -> float:
     """Fraction of items whose argmax prediction matches the argmax label.
 
-    Ties break toward the lower class index on both sides (first maximum).
+    Graphs run as packed forwards of at most ``EVAL_ROWS`` node rows (a
+    larger graph runs alone), taken in order of node count so that each
+    chunk holds graphs of similar size. Ties break toward the lower class
+    index on both sides (first maximum).
     """
     if not items:
         raise ValueError("cannot evaluate on an empty set")
+    wrapped = wrap_params(params, requires_grad=False)
+    chunks, rows = [[]], 0
+    for item in sorted(items, key=lambda item: item[0].n):
+        if chunks[-1] and rows + item[0].n > EVAL_ROWS:
+            chunks.append([])
+            rows = 0
+        chunks[-1].append(item)
+        rows += item[0].n
     hits = 0
-    for g, y in items:
-        probs = forward_classify(g, params).probs
-        if int(np.argmax(probs)) == y.argmax():
-            hits += 1
+    for chunk in chunks:
+        probs = forward_batch([g for g, _ in chunk], wrapped, params).probs.value
+        hits += sum(int(np.argmax(p)) == y.argmax() for p, (_, y) in zip(probs, chunk))
     return hits / len(items)
 
 
@@ -356,6 +403,8 @@ def train_single(
         for start in range(0, len(stream), cfg.batch_size):
             batch = stream[start : start + cfg.batch_size]
             loss, grads = batch_gradients(batch, params, rng)
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(loss, epoch, start // cfg.batch_size)
             adamw_step(params.tensors, grads, state, lr, cfg.weight_decay)
             loss_sum += loss * len(batch)
         train_loss = loss_sum / len(stream)

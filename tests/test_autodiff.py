@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ifmixup.autodiff import Tensor, concat, constant, parameter
+from ifmixup.autodiff import concat, constant, parameter, segment_matmul
 
 
 def fd_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -85,14 +85,6 @@ class TestMatmulAndShape:
         w = constant(RNG.normal(size=(1, 4)))
         check_op(lambda p: (p.sum(axis=0) * w).sum(), RNG.normal(size=(3, 4)))
 
-    def test_mean_rows(self):
-        w = constant(RNG.normal(size=(1, 4)))
-        check_op(lambda p: (p.mean_rows() * w).sum(), RNG.normal(size=(3, 4)))
-
-    def test_reshape(self):
-        w = constant(RNG.normal(size=(2, 6)))
-        check_op(lambda p: (p.reshape((2, 6)) * w).sum(), RNG.normal(size=(3, 4)))
-
     def test_slice_rows(self):
         w = constant(RNG.normal(size=(2, 4)))
         check_op(lambda p: (p.slice_rows(1, 3) * w).sum(), RNG.normal(size=(5, 4)))
@@ -105,6 +97,42 @@ class TestMatmulAndShape:
             return (concat(parts, axis=0) * w).sum()
 
         check_op(build, RNG.normal(size=(5, 3)))
+
+
+class TestSegmentMatmul:
+    # segments of 2, 1 and 3 rows: the first and the last share a stack
+    # padded to 3 rows, the middle one has a stack of its own
+    SIZES = (2, 1, 3)
+    SLOTS = ((0, 0), (1, 0), (0, 1))  # (stack, slot) of each segment
+    ROWS = np.array([0, 1, 6, 3, 4, 5])
+
+    def blocks(self):
+        blocks = [np.zeros((2, 3, 3)), np.zeros((1, 1, 1))]
+        for n, (k, slot) in zip(self.SIZES, self.SLOTS):
+            blocks[k][slot, :n, :n] = RNG.normal(size=(n, n))
+        return blocks
+
+    def test_matches_per_segment_products(self):
+        blocks = self.blocks()
+        h = RNG.normal(size=(6, 4))
+        out = segment_matmul(blocks, constant(h), self.ROWS).value
+        start = 0
+        for n, (k, slot) in zip(self.SIZES, self.SLOTS):
+            want = blocks[k][slot, :n, :n] @ h[start : start + n]
+            assert np.max(np.abs(out[start : start + n] - want)) < 1e-12
+            start += n
+
+    def test_grad(self):
+        blocks = self.blocks()
+        w = constant(RNG.normal(size=(6, 4)))
+        check_op(lambda p: (segment_matmul(blocks, p, self.ROWS) * w).sum(), RNG.normal(size=(6, 4)))
+
+    def test_asymmetric_blocks_transpose_on_backward(self):
+        blocks = [np.zeros((1, 2, 2))]
+        blocks[0][0] = [[0.0, 1.0], [0.0, 0.0]]  # row 0 reads row 1; nothing reads row 0
+        p = parameter(np.array([[1.0], [2.0]]))
+        segment_matmul(blocks, p, np.array([0, 1])).sum().backward()
+        assert np.array_equal(p.grad, [[0.0], [1.0]])
 
 
 class TestSoftmaxFamily:
@@ -160,3 +188,32 @@ class TestTapeMechanics:
         p = parameter(np.ones((2, 2)))
         (c * p).sum().backward()
         assert c.grad is None or not c.requires_grad
+
+    def test_self_add_sums_both_parents(self):
+        p = parameter(np.array([[1.0, -2.0]]))
+        (p + p).sum().backward()
+        assert np.array_equal(p.grad, [[2.0, 2.0]])
+
+    def test_tensor_read_by_two_parents(self):
+        p = parameter(np.array([[1.0, -2.0]]))
+        a = p * constant(np.array([[3.0, 3.0]]))
+        b = p.relu()
+        (a + b).sum().backward()
+        assert np.array_equal(p.grad, [[4.0, 3.0]])
+
+    def test_sibling_grad_survives_a_later_accumulation(self):
+        # add's backward hands one array to both parents; x then gets more
+        p = parameter(np.array([[1.0]]))
+        q = parameter(np.array([[1.0]]))
+        x = p.scale(1.0)
+        ((x + q).sum() + x.scale(3.0).sum()).backward()
+        assert p.grad[0, 0] == 4.0 and q.grad[0, 0] == 1.0
+
+    def test_stored_grad_does_not_alias_incoming(self):
+        p = parameter(np.zeros(3))
+        g = np.array([1.0, 2.0, 3.0])
+        p._accumulate(g)
+        assert not np.shares_memory(p.grad, g)
+        p._accumulate(g)
+        assert np.array_equal(g, [1.0, 2.0, 3.0])
+        assert np.array_equal(p.grad, [2.0, 4.0, 6.0])

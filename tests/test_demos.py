@@ -2,7 +2,7 @@
 
 Each demo is copied into a temporary directory first, so files it writes
 next to itself stay out of the checkout. ``03_train_and_compare.py`` is left
-out: it trains for about 16 s.
+out: it trains two GIN runs of 60 epochs, about 13 s.
 """
 
 from __future__ import annotations

@@ -8,12 +8,14 @@ import pytest
 import ifmixup as m
 from ifmixup.autodiff import constant, parameter
 from ifmixup.models import (
-    _pool,
     cross_entropy_t,
+    forward_batch,
+    forward_trace,
     gcn_layer_t,
     gin_layer_t,
     head_logits,
     head_logits_layer_block,
+    pack_graphs,
     wrap_params,
 )
 
@@ -46,33 +48,36 @@ class TestModelConfig:
         assert m.ModelConfig(arch="gcn", k=5, hidden=7).readout_dim() == 7
 
 
+def pack_one(v, e, arch, readout="sum"):
+    """One graph packed as a batch of one, with its features as a tensor."""
+    packed = pack_graphs([m.NodeFeaturedGraph(v, e)], m.ModelConfig(arch=arch, readout=readout))
+    return constant(packed.v), packed
+
+
 class TestGcnLayer:
+    @staticmethod
+    def layer(v, e, w, skip):
+        h, packed = pack_one(v, e, "gcn")
+        return gcn_layer_t(h, packed, constant(w), None, skip=skip).value
+
     def test_hand_example(self):
         # h = [1, 2], one edge of weight 0.5, W = 1: d-hat = 1.5 on both nodes
-        h = constant(np.array([[1.0], [2.0]]))
         e = np.array([[0.0, 0.5], [0.5, 0.0]])
-        w = constant(np.array([[1.0]]))
-        out = gcn_layer_t(h, e, w, None, skip=False).value
+        out = self.layer([[1.0], [2.0]], e, [[1.0]], skip=False)
         assert out[0, 0] == pytest.approx(4 / 3)
         assert out[1, 0] == pytest.approx(5 / 3)
 
     def test_zero_edges_self_term_only(self):
-        h = constant(np.array([[1.0], [2.0]]))
-        w = constant(np.array([[3.0]]))
-        out = gcn_layer_t(h, np.zeros((2, 2)), w, None, skip=False).value
+        out = self.layer([[1.0], [2.0]], np.zeros((2, 2)), [[3.0]], skip=False)
         assert np.allclose(out, [[3.0], [6.0]])
 
     def test_negative_preactivation_clipped(self):
-        h = constant(np.array([[1.0], [2.0]]))
-        w = constant(np.array([[-1.0]]))
-        out = gcn_layer_t(h, np.zeros((2, 2)), w, None, skip=False).value
+        out = self.layer([[1.0], [2.0]], np.zeros((2, 2)), [[-1.0]], skip=False)
         assert np.array_equal(out, np.zeros((2, 1)))
 
     def test_skip_adds_input_after_activation(self):
-        h = constant(np.array([[1.0], [2.0]]))
         e = np.array([[0.0, 0.5], [0.5, 0.0]])
-        w = constant(np.array([[1.0]]))
-        out = gcn_layer_t(h, e, w, None, skip=True).value
+        out = self.layer([[1.0], [2.0]], e, [[1.0]], skip=True)
         assert out[0, 0] == pytest.approx(4 / 3 + 1.0)
         assert out[1, 0] == pytest.approx(5 / 3 + 2.0)
 
@@ -91,42 +96,77 @@ class TestGcnLayer:
 
 class TestGinLayer:
     @staticmethod
-    def identity_mlp():
-        return [(constant(np.array([[1.0]])), None)]
+    def layer(v, e, eps):
+        h, packed = pack_one(v, e, "gin")
+        identity_mlp = [(constant(np.array([[1.0]])), None)]
+        return gin_layer_t(h, packed, constant(np.array([eps])), identity_mlp).value
 
     def test_eps_zero(self):
-        h = constant(np.array([[1.0], [2.0]]))
         e = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = gin_layer_t(h, e, constant(np.zeros(1)), self.identity_mlp()).value
+        out = self.layer([[1.0], [2.0]], e, 0.0)
         assert out[0, 0] == pytest.approx(3.0)  # 1 + 2
 
     def test_eps_one(self):
-        h = constant(np.array([[1.0], [2.0]]))
         e = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = gin_layer_t(h, e, constant(np.ones(1)), self.identity_mlp()).value
+        out = self.layer([[1.0], [2.0]], e, 1.0)
         assert out[0, 0] == pytest.approx(4.0)  # 2*1 + 2
 
     def test_zero_feature_neighbor_contributes_nothing(self):
-        h = constant(np.array([[1.0], [0.0]]))
         e = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = gin_layer_t(h, e, constant(np.zeros(1)), self.identity_mlp()).value
+        out = self.layer([[1.0], [0.0]], e, 0.0)
         assert out[0, 0] == pytest.approx(1.0)
 
     def test_soft_edge_scales_neighbor(self):
-        h = constant(np.array([[1.0], [2.0]]))
         e = np.array([[0.0, 0.25], [0.25, 0.0]])
-        out = gin_layer_t(h, e, constant(np.zeros(1)), self.identity_mlp()).value
+        out = self.layer([[1.0], [2.0]], e, 0.0)
         assert out[0, 0] == pytest.approx(1.5)
+
+
+class TestPackGraphs:
+    @staticmethod
+    def graphs():
+        rng = np.random.default_rng(30)
+        return [rand_one_hot_graph(rng, n, 3) for n in (3, 1, 4)]
+
+    def test_layout(self):
+        packed = pack_graphs(self.graphs(), m.ModelConfig(arch="gin", readout="mean"))
+        assert packed.v.shape == (8, 3)
+        # the graphs of 4 and 3 nodes share a stack padded to 4 rows; the 1-node graph has its own
+        assert [stack.shape for stack in packed.edges] == [(2, 4, 4), (1, 1, 1)]
+        assert packed.rows.tolist() == [4, 5, 6, 8, 0, 1, 2, 3]
+        assert np.allclose(packed.pool, [[1 / 3] * 3 + [0] * 5, [0] * 3 + [1] + [0] * 4, [0] * 4 + [1 / 4] * 4])
+
+    def test_padding_at_most_quadruples_aggregation_size(self):
+        rng = np.random.default_rng(32)
+        sizes = [1, 2, 3, 5, 8, 13, 21, 40, 2, 100, 7]
+        packed = pack_graphs([rand_one_hot_graph(rng, n, 3, 0.1) for n in sizes], m.ModelConfig())
+        assert sum(stack.size for stack in packed.edges) <= 4 * sum(n * n for n in sizes)
+        assert [stack.shape[:2] for stack in packed.edges] == [(1, 100), (2, 40), (3, 13), (2, 5), (3, 2)]
+
+    @pytest.mark.parametrize("arch", ["gcn", "gin"])
+    def test_batch_rows_match_graphs_alone(self, arch):
+        cfg = m.ModelConfig(arch=arch, k=2, hidden=5, readout="mean", gcn_skip=True)
+        params = m.init_params(cfg, 3, 2, np.random.default_rng(31))
+        wrapped = wrap_params(params, requires_grad=False)
+        graphs = self.graphs()
+        batch = forward_batch(graphs, wrapped, params)
+        start = 0
+        for i, g in enumerate(graphs):
+            alone = forward_trace(g, wrapped, params)
+            for packed_h, alone_h in zip(batch.embeddings, alone.embeddings):
+                assert np.max(np.abs(packed_h.value[start : start + g.n] - alone_h.value)) < 1e-12
+            assert np.max(np.abs(batch.probs.value[i] - alone.probs.value[0])) < 1e-12
+            start += g.n
 
 
 class TestReadout:
     def test_sum_pool(self):
-        pooled = _pool(constant(np.array([[1.0, 2.0], [3.0, 4.0]])), "sum").value
-        assert np.allclose(pooled, [[4.0, 6.0]])
+        h, packed = pack_one([[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2)), "gin", "sum")
+        assert np.allclose(packed.readout(h).value, [[4.0, 6.0]])
 
     def test_mean_pool(self):
-        pooled = _pool(constant(np.array([[1.0, 2.0], [3.0, 4.0]])), "mean").value
-        assert np.allclose(pooled, [[2.0, 3.0]])
+        h, packed = pack_one([[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2)), "gin", "mean")
+        assert np.allclose(packed.readout(h).value, [[2.0, 3.0]])
 
     def test_gin_concat_dimension(self):
         cfg = m.ModelConfig(arch="gin", k=3, hidden=5)
@@ -375,8 +415,6 @@ class TestHeadRouting:
         params = m.init_params(cfg, 3, 2, np.random.default_rng(20))
         g = rand_one_hot_graph(np.random.default_rng(21), 4, 3)
         wrapped = wrap_params(params, requires_grad=False)
-        from ifmixup.models import forward_trace
-
         t = forward_trace(g, wrapped, params)
         full = head_logits(t.h_graph, wrapped).value
         b0 = head_logits_layer_block(t.pooled[0], wrapped, 0, 3).value

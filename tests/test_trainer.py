@@ -8,9 +8,116 @@ import numpy as np
 import pytest
 
 import ifmixup as m
-from ifmixup.training import EpochSample, batch_gradients, build_epoch_stream
+import ifmixup.training
+from ifmixup.autodiff import concat, constant
+from ifmixup.models import (
+    _gcn_norm,
+    apply_dropout,
+    cross_entropy_t,
+    head_logits,
+    head_logits_layer_block,
+    wrap_params,
+)
+from ifmixup.training import EVAL_ROWS, EpochSample, batch_gradients, build_epoch_stream
 
 from conftest import rand_one_hot_graph
+
+KINDS = ("none", "drop_edge", "drop_node", "if_mixup", "if_mixup_shuffled", "mixup_graph", "manifold_mixup")
+
+
+# -- per-graph reference ----------------------------------------------------------
+# The oracle for the packed path: every graph builds its own tape and every
+# sample its own loss, summed in batch order, each drawing its own (1 x C)
+# dropout mask.
+
+
+def reference_forward(g, wrapped, params):
+    """(pooled, h_graph) of one graph, on its own tape."""
+    cfg = params.config
+    if g.n == 0:
+        raise ValueError("cannot classify an empty graph")
+    if g.d != params.feature_dim:
+        raise ValueError(f"feature dim {g.d} does not match params ({params.feature_dim})")
+    h = constant(g.v)
+    pooled = []
+    for layer in range(cfg.k):
+        if cfg.arch == "gcn":
+            out = (constant(_gcn_norm(g.e)) @ h @ wrapped[f"layer{layer}.W"]).relu()
+            if cfg.gcn_skip:
+                proj = wrapped.get(f"layer{layer}.P")
+                out = out + (h @ proj if proj is not None else h)
+        else:
+            out = h * (constant(np.ones(1)) + wrapped[f"layer{layer}.eps"]) + constant(g.e) @ h
+            for j in range(cfg.gin_mlp_depth):
+                out = out @ wrapped[f"layer{layer}.mlp{j}.W"]
+                bias = wrapped.get(f"layer{layer}.mlp{j}.b")
+                if bias is not None:
+                    out = out + bias
+                if j + 1 < cfg.gin_mlp_depth:
+                    out = out.relu()
+        h = out
+        p = constant(np.ones((1, g.n))) @ h
+        pooled.append(p.scale(1.0 / g.n) if cfg.readout == "mean" else p)
+    return pooled, concat(pooled, axis=1) if cfg.arch == "gin" else pooled[-1]
+
+
+def reference_sample_loss(sample, wrapped, params, rng):
+    cfg = params.config
+    if sample.pair is None:
+        logits = head_logits(reference_forward(sample.g, wrapped, params)[1], wrapped)
+    else:
+        if sample.layer is not None and not 1 <= sample.layer <= cfg.k:
+            raise ValueError(f"manifold-mix layer {sample.layer} outside 1..{cfg.k}")
+        (pa, ha), (pb, hb) = (reference_forward(g, wrapped, params) for g in sample.pair)
+        lam = float(sample.lam)
+        if sample.layer is None:
+            logits = head_logits(ha.scale(lam) + hb.scale(1.0 - lam), wrapped)
+        else:
+            k = sample.layer
+            h = pa[k - 1].scale(lam) + pb[k - 1].scale(1.0 - lam)
+            if cfg.arch == "gin":
+                logits = head_logits_layer_block(h, wrapped, k - 1, cfg.hidden)
+            else:
+                logits = head_logits(h, wrapped)
+    logits = apply_dropout(logits, cfg.dropout, training=True, rng=rng)
+    return cross_entropy_t(sample.y, logits)
+
+
+def reference_gradients(batch, params, rng):
+    if not batch:
+        raise ValueError("gradients need a nonempty batch")
+    wrapped = wrap_params(params, requires_grad=True)
+    total = None
+    for sample in batch:
+        ce = reference_sample_loss(sample, wrapped, params, rng)
+        total = ce if total is None else total + ce
+    loss = total.scale(1.0 / len(batch))
+    loss.backward()
+    grads = {
+        name: (w.grad if w.grad is not None else np.zeros_like(w.value))
+        for name, w in wrapped.items()
+    }
+    return float(loss.value), grads
+
+
+def uneven_items(d=4, c=3):
+    """Graphs of unequal sizes, among them a single node and an edgeless graph."""
+    rng = np.random.default_rng(40)
+    graphs = [rand_one_hot_graph(rng, n, d) for n in (1, 5, 2, 7, 3, 6)]
+    graphs.append(rand_one_hot_graph(rng, 4, d, edge_prob=0.0))
+    graphs.append(rand_one_hot_graph(rng, 9, d, edge_prob=0.5))
+    return [(g, m.LabelDistribution.one_hot(i % c, c)) for i, g in enumerate(graphs)]
+
+
+def assert_matches_reference(batch, params, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    loss, grads = batch_gradients(batch, params, rng)
+    ref_loss, ref_grads = reference_gradients(batch, params, ref_rng)
+    assert abs(loss - ref_loss) <= 1e-12
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert np.max(np.abs(g - ref_grads[name])) <= 1e-12, name
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestLrSchedule:
@@ -342,7 +449,105 @@ class TestBatchGradients:
                 assert abs(fd - grads[name][idx]) < 1e-6 * max(1.0, abs(fd)), (name, idx)
 
 
+class TestPackedMatchesPerGraph:
+    MODELS = [
+        pytest.param(dict(arch=arch, readout=readout), id=f"{arch}-{readout}")
+        for arch in ("gcn", "gin")
+        for readout in ("sum", "mean")
+    ] + [
+        pytest.param(dict(arch="gcn", gcn_skip=True), id="gcn-skip"),
+        pytest.param(dict(arch="gin", gin_mlp_bias=False), id="gin-nobias"),
+    ]
+
+    @staticmethod
+    def params(model, d=4, c=3):
+        cfg = m.ModelConfig(k=3, hidden=5, dropout=0.5, **model)  # hidden != d: skip projects
+        return m.init_params(cfg, d, c, np.random.default_rng(41))
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_epoch_stream(self, kind, model):
+        params = self.params(model)
+        cfg = m.TrainConfig(
+            model=params.config, augment=m.AugmentSpec(kind=kind, beta=m.BetaParams(2, 2), ratio=0.4)
+        )
+        batch = build_epoch_stream(uneven_items(), cfg, np.random.default_rng(42))
+        assert_matches_reference(batch, params, seed=43)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_heterogeneous_batch(self, model):
+        params = self.params(model)
+        items = uneven_items()
+        batch = []
+        for i, layer in enumerate([None, None, 1, 2, 3, None, 2, 1]):
+            (ga, ya), (gb, yb) = items[i], items[(i + 3) % len(items)]
+            if i % 3 == 0:
+                batch.append(EpochSample(y=ya, g=ga))
+            else:
+                lam = 0.15 + 0.1 * i
+                batch.append(EpochSample(y=m.mix_labels(ya, yb, lam), pair=(ga, gb), lam=lam, layer=layer))
+        assert_matches_reference(batch, params, seed=44)
+
+    @pytest.mark.parametrize("side", ["plain", "pair_a", "pair_b"])
+    def test_empty_graph_rejected(self, side):
+        params = self.params(dict(arch="gin"))
+        (g, y), empty = uneven_items()[1], m.NodeFeaturedGraph(np.zeros((0, 4)), np.zeros((0, 0)))
+        sample = {
+            "plain": EpochSample(y=y, g=empty),
+            "pair_a": EpochSample(y=y, pair=(empty, g), lam=0.3),
+            "pair_b": EpochSample(y=y, pair=(g, empty), lam=0.3),
+        }[side]
+        for gradients in (batch_gradients, reference_gradients):
+            with pytest.raises(ValueError, match="cannot classify an empty graph"):
+                gradients([EpochSample(y=y, g=g), sample], params, np.random.default_rng(0))
+
+    def test_feature_dim_mismatch_rejected(self):
+        params = self.params(dict(arch="gcn"))
+        wide = rand_one_hot_graph(np.random.default_rng(45), 3, 5)
+        batch = [EpochSample(y=m.LabelDistribution.one_hot(0, 3), g=wide)]
+        for gradients in (batch_gradients, reference_gradients):
+            with pytest.raises(ValueError, match=r"feature dim 5 does not match params \(4\)"):
+                gradients(batch, params, np.random.default_rng(0))
+
+    def test_empty_batch_message(self):
+        params = self.params(dict(arch="gcn"))
+        for gradients in (batch_gradients, reference_gradients):
+            with pytest.raises(ValueError, match="gradients need a nonempty batch"):
+                gradients([], params, np.random.default_rng(0))
+
+
 class TestEvaluate:
+    def test_chunks_match_per_graph_predictions(self):
+        params = m.init_params(m.ModelConfig(arch="gin", k=2, hidden=6), 4, 3, np.random.default_rng(46))
+        rng = np.random.default_rng(47)
+        sizes = [int(rng.integers(1, 12)) for _ in range(EVAL_ROWS // 3)]
+        assert sum(sizes) > EVAL_ROWS
+        items = [
+            (rand_one_hot_graph(rng, n, 4), m.LabelDistribution.one_hot(int(rng.integers(3)), 3))
+            for n in sizes
+        ]
+        hits = sum(int(np.argmax(m.forward_classify(g, params).probs)) == y.argmax() for g, y in items)
+        assert 0 < hits < len(items)
+        assert m.evaluate(params, items) == hits / len(items)
+
+    def test_chunks_hold_graphs_of_similar_size(self, monkeypatch):
+        params = m.init_params(m.ModelConfig(arch="gcn", k=1, hidden=3), 4, 2, np.random.default_rng(48))
+        rng = np.random.default_rng(49)
+        sizes = [EVAL_ROWS + 1, 60] + [int(rng.integers(1, 8)) for _ in range(EVAL_ROWS // 3)]
+        items = [(rand_one_hot_graph(rng, n, 4, 0.01), m.LabelDistribution.one_hot(0, 2)) for n in sizes]
+        chunks = []
+        packed_forward = ifmixup.training.forward_batch
+
+        def recording(graphs, wrapped, params):
+            chunks.append([g.n for g in graphs])
+            return packed_forward(graphs, wrapped, params)
+
+        monkeypatch.setattr(ifmixup.training, "forward_batch", recording)
+        m.evaluate(params, items)
+        assert [n for chunk in chunks for n in chunk] == sorted(sizes)
+        assert all(sum(chunk) <= EVAL_ROWS for chunk in chunks[:-1])
+        assert chunks[-1] == [EVAL_ROWS + 1]  # a graph over the budget runs alone
+
     def test_ties_break_to_lower_class(self, tiny_dataset):
         params = m.init_params(m.ModelConfig(arch="gcn", k=1, hidden=2), 5, 2, np.random.default_rng(12))
         params.tensors["head.W"][:] = 0.0
@@ -389,6 +594,29 @@ class TestTrainSingle:
     def test_empty_split_rejected(self, tiny_dataset):
         with pytest.raises(ValueError, match="nonempty"):
             m.train_single([], tiny_dataset.items, self.config(), m.derive_rng(0, 0, 0))
+
+    def test_non_finite_loss_names_epoch_and_batch(self, tiny_dataset, monkeypatch):
+        real = ifmixup.training.batch_gradients
+        calls = []
+
+        def nan_on_fourth_call(batch, params, rng):
+            loss, grads = real(batch, params, rng)
+            calls.append(len(calls))
+            return (float("nan") if len(calls) == 4 else loss), grads
+
+        monkeypatch.setattr(ifmixup.training, "batch_gradients", nan_on_fourth_call)
+        # 8 items in batches of 4: the fourth step is epoch 1, batch 1
+        with pytest.raises(m.NonFiniteLossError, match="epoch 1, batch 1") as info:
+            m.train_single(tiny_dataset.items[:8], tiny_dataset.items[8:], self.config(), m.derive_rng(0, 0, 0))
+        assert (info.value.epoch, info.value.batch) == (1, 1)
+        assert len(calls) == 4
+
+    def test_overflowing_features_stop_the_first_step(self, tiny_dataset):
+        items = [(m.NodeFeaturedGraph(g.v * 1e308, g.e), y) for g, y in tiny_dataset.items[:8]]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            m.NonFiniteLossError, match="epoch 0, batch 0"
+        ):
+            m.train_single(items, tiny_dataset.items[8:], self.config(), m.derive_rng(0, 0, 0))
 
     def test_log_fn_called_per_epoch(self, tiny_dataset):
         calls = []
