@@ -96,15 +96,6 @@ class Tensor:
 
         return Tensor(a.value + b.value, parents=(a, b), backward=bw)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        a, b = self, other
-
-        def bw(g: np.ndarray) -> None:
-            a._accumulate(_unbroadcast(g, a.value.shape))
-            b._accumulate(_unbroadcast(-g, b.value.shape))
-
-        return Tensor(a.value - b.value, parents=(a, b), backward=bw)
-
     def __mul__(self, other: "Tensor") -> "Tensor":
         a, b = self, other
 
@@ -133,16 +124,13 @@ class Tensor:
 
         return Tensor(np.where(mask, a.value, 0.0), parents=(a,), backward=bw)
 
-    def sum(self, axis: int | None = None) -> "Tensor":
+    def sum(self) -> "Tensor":
         a = self
 
         def bw(g: np.ndarray) -> None:
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.value.shape))
-            else:
-                a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.value.shape))
+            a._accumulate(np.broadcast_to(g, a.value.shape))
 
-        return Tensor(a.value.sum(axis=axis), parents=(a,), backward=bw)
+        return Tensor(a.value.sum(), parents=(a,), backward=bw)
 
     def slice_rows(self, start: int, stop: int) -> "Tensor":
         a = self

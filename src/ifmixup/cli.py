@@ -30,10 +30,16 @@ from dataclasses import replace
 import numpy as np
 
 from .graphs import GraphDataset, feature_vocabulary, validate_graph
-from .mixing import SWEEP_BETAS, BetaParams, mix_items, sample_lambda
+from .mixing import SWEEP_BETAS, BetaParams, mix_items
 from .models import save_checkpoint
 from .plots import SweepBarRow, emit_plot_data
-from .recovery import HALF_GUARD, RecoveryError, intrusion_audit, recover_pair
+from .recovery import (
+    RecoveryError,
+    intrusion_audit,
+    recover_pair,
+    recovery_mode,
+    sample_decodable_lambda,
+)
 from .training import (
     TrainConfig,
     cross_validate,
@@ -128,12 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_for_command(directory: str, name: str, encoding: str | None) -> GraphDataset:
-    return load_dataset(directory, name, encoding)
-
-
 def _cmd_stats(args) -> int:
-    ds = _load_for_command(args.directory, args.name, args.encoding)
+    ds = load_dataset(args.directory, args.name, args.encoding)
     stats = dataset_stats(ds)
     print(stats.to_text())
     check = compare_table5(stats)
@@ -147,13 +149,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_mix(args) -> int:
-    ds = _load_for_command(args.directory, args.name, args.encoding)
+    ds = load_dataset(args.directory, args.name, args.encoding)
     params = BetaParams(args.alpha, args.beta)
     rng = np.random.default_rng(args.seed)
     ia, ib = int(rng.integers(len(ds))), int(rng.integers(len(ds)))
-    lam = sample_lambda(params, rng)
-    while abs(lam - 0.5) < HALF_GUARD:
-        lam = sample_lambda(params, rng)
+    lam = sample_decodable_lambda(params, rng)
     mixed = mix_items(ds.items[ia], ds.items[ib], lam, source_ids=(ia, ib))
 
     write_weighted_graph(mixed.graph, args.out, MIXED_NAME)
@@ -198,9 +198,14 @@ def _cmd_recover(args) -> int:
         raise ParseError(f"{args.mixed_dir}: invalid mixed graph: {problems[0]}")
 
     ds_doc = meta["dataset"]
-    ds = _load_for_command(ds_doc["directory"], ds_doc["name"], ds_doc.get("encoding"))
+    ds = load_dataset(ds_doc["directory"], ds_doc["name"], ds_doc.get("encoding"))
     basis = feature_vocabulary(ds)
-    mode = "independent" if basis.vocabulary_independent() else "basis"
+    mode = recovery_mode(basis)
+    if mode is None:
+        raise RecoveryError(
+            f"{ds.name}: neither the feature vocabulary nor the coefficient collection "
+            "is linearly independent, so the mix cannot be decoded"
+        )
     rec = recover_pair(mixed, basis, mode=mode)
 
     print(f"recovery mode: {mode}")
@@ -211,27 +216,8 @@ def _cmd_recover(args) -> int:
             f"recovered lambda={rec.lam!r} (canonical < 0.5); "
             f"sources n={rec.graph_a.n} and n={rec.graph_b.n}"
         )
-    recorded = float(meta["lam"])
     ia, ib = meta["source_indices"]
-    ga, gb = ds.items[ia][0], ds.items[ib][0]
-    if rec.sources_identical:
-        ok = np.array_equal(ga.e, gb.e) and np.allclose(ga.v, gb.v, atol=1e-9)
-    else:
-        direct = (
-            abs(rec.lam - recorded) <= 1e-9
-            and np.array_equal(rec.graph_a.e, ga.e)
-            and np.array_equal(rec.graph_b.e, gb.e)
-            and np.allclose(rec.graph_a.v, ga.v, atol=1e-9)
-            and np.allclose(rec.graph_b.v, gb.v, atol=1e-9)
-        )
-        mirrored = (
-            abs(rec.lam - (1.0 - recorded)) <= 1e-9
-            and np.array_equal(rec.graph_a.e, gb.e)
-            and np.array_equal(rec.graph_b.e, ga.e)
-            and np.allclose(rec.graph_a.v, gb.v, atol=1e-9)
-            and np.allclose(rec.graph_b.v, ga.v, atol=1e-9)
-        )
-        ok = direct or mirrored
+    ok = rec.matches(ds.items[ia][0], ds.items[ib][0], float(meta["lam"]))
     print(f"matches recorded sources: {'yes' if ok else 'NO'}")
     if not ok:
         raise RecoveryError("recovered pair does not match the recorded sources")
@@ -239,7 +225,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    ds = _load_for_command(args.directory, args.name, args.encoding)
+    ds = load_dataset(args.directory, args.name, args.encoding)
     report = intrusion_audit(
         ds,
         trials=args.trials,
@@ -253,21 +239,18 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_check_independence(args) -> int:
-    ds = _load_for_command(args.directory, args.name, args.encoding)
+    ds = load_dataset(args.directory, args.name, args.encoding)
     basis = feature_vocabulary(ds)
-    v_ok = basis.vocabulary_independent()
-    t_ok = basis.t_set_independent()
+    mode = recovery_mode(basis)
     print(f"dataset:                 {ds.name}")
     print(f"vocabulary size:         {basis.vocabulary.shape[0]} (d={basis.vocabulary.shape[1]})")
     print(f"vocabulary rank:         {basis.rank}")
-    print(f"vocabulary independent:  {'yes' if v_ok else 'no'}")
-    print(f"coefficient set independent: {'yes' if t_ok else 'no'}")
-    if v_ok:
-        print("recovery assumption satisfied in independent mode")
-    elif t_ok:
-        print("recovery assumption satisfied in basis mode")
-    else:
+    print(f"vocabulary independent:  {'yes' if basis.vocabulary_independent() else 'no'}")
+    print(f"coefficient set independent: {'yes' if basis.t_set_independent() else 'no'}")
+    if mode is None:
         print("recovery assumptions NOT satisfied: mixes may not be invertible")
+    else:
+        print(f"recovery assumption satisfied in {mode} mode")
     return 0
 
 

@@ -115,10 +115,10 @@ class FeatureBasis:
     ``vocabulary`` holds the distinct nonzero feature rows (V), sorted
     lexicographically for determinism; ``vocabulary_star`` appends the zero
     row (V*), which dummy nodes contribute. ``basis`` is an ``m x d`` matrix
-    of linearly independent rows spanning SPAN(V), and ``coeffs[i]`` is the
-    coefficient matrix T of dataset graph i with ``v_i = T @ basis``.
-    ``t_set`` is the deduplicated collection of coefficient matrices used by
-    basis-mode recovery.
+    of linearly independent rows spanning SPAN(V), ``rank`` is m, and
+    ``coeffs[i]`` is the coefficient matrix T of dataset graph i with
+    ``v_i = T @ basis``. ``t_set`` is the deduplicated collection of
+    coefficient matrices used by basis-mode recovery.
     """
 
     vocabulary: np.ndarray
@@ -133,8 +133,8 @@ class FeatureBasis:
         return self.vocabulary.shape[1]
 
     def vocabulary_independent(self) -> bool:
-        ok, _ = check_linear_independence(self.vocabulary)
-        return ok
+        """V is linearly independent: its basis is all of V."""
+        return self.rank == len(self.vocabulary)
 
     def t_set_independent(self) -> bool:
         """Independence of the coefficient collection, zero-padded to a common size."""
@@ -154,6 +154,14 @@ def validate_graph(g: NodeFeaturedGraph) -> list[str]:
             f"dimension mismatch: v is {g.v.shape}, e is {g.e.shape}"
         )
         return violations
+    for what, a in (("feature", g.v), ("weight", g.e)):
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            i, j = bad[0]
+            where = f"({i},{j}): {a[i, j]} ({len(bad)} entries total)"
+            violations.append(f"non-finite {what} at {where}")
+            if a is g.e:
+                return violations  # symmetry, diagonal and range are undefined on NaN
     asym = np.argwhere(g.e != g.e.T)
     if asym.size:
         i, j = asym[0]
@@ -214,12 +222,14 @@ def _pad_rows(t: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _row_reduce_rank(rows: np.ndarray, tol: float) -> int:
-    """Rank by Gaussian elimination with partial pivoting; pivots below tol are zero."""
+def _row_reduce_rank(rows: np.ndarray, tol: float) -> tuple[int, list[int]]:
+    """Rank by Gaussian elimination with partial pivoting, plus the pivot
+    columns in order; pivots below tol are zero."""
     m = np.array(rows, dtype=np.float64)
     n_rows, n_cols = m.shape
-    rank = 0
+    pivots: list[int] = []
     for col in range(n_cols):
+        rank = len(pivots)
         if rank == n_rows:
             break
         pivot = rank + int(np.argmax(np.abs(m[rank:, col])))
@@ -229,8 +239,8 @@ def _row_reduce_rank(rows: np.ndarray, tol: float) -> int:
         m[rank] = m[rank] / m[rank, col]
         below = np.arange(n_rows) != rank
         m[below] -= np.outer(m[below, col], m[rank])
-        rank += 1
-    return rank
+        pivots.append(col)
+    return len(pivots), pivots
 
 
 def check_linear_independence(
@@ -240,24 +250,18 @@ def check_linear_independence(
     m = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if m.size == 0:
         raise ValueError("empty vector set")
-    rank = _row_reduce_rank(m, tol)
+    rank, _ = _row_reduce_rank(m, tol)
     return rank == m.shape[0], rank
 
 
 def independent_row_subset(rows: np.ndarray, tol: float = RANK_TOL) -> list[int]:
-    """Indices of a maximal independent subset of rows, greedy in row order."""
-    rows = np.asarray(rows, dtype=np.float64)
-    chosen: list[int] = []
-    echelon: list[np.ndarray] = []
-    for i, row in enumerate(rows):
-        r = row.astype(np.float64).copy()
-        for b in echelon:
-            lead = int(np.argmax(np.abs(b)))
-            r -= (r[lead] / b[lead]) * b
-        if np.max(np.abs(r)) > tol:
-            chosen.append(i)
-            echelon.append(r)
-    return chosen
+    """Indices of a maximal independent subset of rows, greedy in row order.
+
+    These are the pivot columns of the elimination run on the rows as
+    columns: row i is a pivot exactly when it leaves the span of rows 0..i-1.
+    """
+    _, pivots = _row_reduce_rank(np.asarray(rows, dtype=np.float64).T, tol)
+    return pivots
 
 
 def coefficients_in_basis(v: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ vocabulary V is finite. Two constructive modes are implemented:
   independent. The mixed coefficient matrix, projected onto B, has a unique
   coefficient vector over the collection, found by one Gram solve.
 
+``recovery_mode`` says which of the two a dataset admits, if either.
+
 Either way the nonzero pattern of each coefficient vector must be one of
 {1} (identical sources), {s} or {1-s} (one source is a dummy row), or
 {s, 1-s} (two distinct members), which pins down both sources; the same
@@ -52,8 +54,33 @@ DEFAULT_TOL = 1e-9
 HALF_GUARD = 1e-6
 
 
+def sample_decodable_lambda(params: BetaParams, rng: np.random.Generator) -> float:
+    """A ``sample_lambda`` draw, redrawn while it lies within ``HALF_GUARD`` of 0.5."""
+    lam = sample_lambda(params, rng)
+    while abs(lam - 0.5) < HALF_GUARD:
+        lam = sample_lambda(params, rng)
+    return lam
+
+
 class RecoveryError(ValueError):
     """The input is not decodable as a mix of two binary-edge sources."""
+
+
+def recovery_mode(basis: FeatureBasis) -> str | None:
+    """The decoder a dataset admits: "independent" when its vocabulary V is
+    linearly independent, else "basis" when its coefficient collection is,
+    else None (neither assumption holds; mixes need not be invertible)."""
+    if basis.vocabulary_independent():
+        return "independent"
+    if basis.t_set_independent():
+        return "basis"
+    return None
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+        raise RecoveryError(f"non-finite {what} at {at}: {a[at]}")
 
 
 @dataclass(eq=False)
@@ -107,6 +134,35 @@ class RecoveredPair:
     lam: float | None
     sources_identical: bool = False
 
+    def matches(
+        self, ga: NodeFeaturedGraph, gb: NodeFeaturedGraph, lam: float, tol: float = DEFAULT_TOL
+    ) -> bool:
+        """Whether this is the decode of ``mix_pair(ga, gb, lam)``.
+
+        Accepts (lam, ga, gb), its mirror (1 - lam, gb, ga), and, when the
+        sources are identical, that one graph with no ratio. Edges must be
+        equal and features within ``tol``.
+        """
+        decodes = [] if self.lam is None else [(lam, ga, gb), (1.0 - lam, gb, ga)]
+        return any(
+            abs(self.lam - s) <= tol
+            and _graphs_equal(self.graph_a, a, tol)
+            and _graphs_equal(self.graph_b, b, tol)
+            for s, a, b in decodes
+        ) or (
+            self.sources_identical
+            and _graphs_equal(ga, gb, tol)
+            and _graphs_equal(self.graph_a, ga, tol)
+        )
+
+
+def _graphs_equal(a: NodeFeaturedGraph, b: NodeFeaturedGraph, tol: float) -> bool:
+    return (
+        a.n == b.n
+        and np.array_equal(a.e, b.e)
+        and float(np.max(np.abs(a.v - b.v), initial=0.0)) <= tol
+    )
+
 
 def _cluster_values(values: np.ndarray, tol: float) -> list[float]:
     """Distinct values present, grouping anything within tol of a seen value."""
@@ -126,6 +182,7 @@ def edge_solutions(e_mixed: np.ndarray, tol: float = DEFAULT_TOL) -> EdgeSolutio
     the ratio is indistinguishable from 0.5.
     """
     e_mixed = np.asarray(e_mixed, dtype=np.float64)
+    _require_finite(e_mixed, "mixed edge weight")
     n = e_mixed.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     values = e_mixed[iu, ju]
@@ -204,6 +261,7 @@ def _coefficients_over_vocabulary(
     v_mixed: np.ndarray, vocabulary: np.ndarray, tol: float
 ) -> np.ndarray:
     """Coefficients of each mixed row over V, by projection."""
+    _require_finite(v_mixed, "mixed node feature")
     coeff = coefficients_in_basis(v_mixed, vocabulary)
     residual = np.max(np.abs(coeff @ vocabulary - v_mixed))
     if residual > tol:
@@ -216,6 +274,7 @@ def _coefficients_over_t_set(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One row of coefficients of the mixed coefficient matrix over the
     training matrices that fit in it, plus those matrices padded to its size."""
+    _require_finite(v_mixed, "mixed node feature")
     if not basis.t_set_independent():
         raise RecoveryError("coefficient collection is not linearly independent")
     t_mixed = coefficients_in_basis(v_mixed, basis.basis)
@@ -389,14 +448,6 @@ class IntrusionAuditReport:
         return "\n".join(lines)
 
 
-def _graphs_equal(a: NodeFeaturedGraph, b: NodeFeaturedGraph, tol: float) -> bool:
-    return (
-        a.n == b.n
-        and np.array_equal(a.e, b.e)
-        and float(np.max(np.abs(a.v - b.v), initial=0.0)) <= tol
-    )
-
-
 def intrusion_audit(
     ds: GraphDataset,
     trials: int,
@@ -412,23 +463,19 @@ def intrusion_audit(
     not raised. The audit is skipped when neither feature-invertibility
     assumption holds for the dataset.
     """
+    # imported per call, so a rebinding of graphs.feature_vocabulary (a span patch) sees it
     from .graphs import feature_vocabulary, pad_graph
 
     basis = feature_vocabulary(ds)
-    if basis.vocabulary_independent():
-        mode = "independent"
-    elif basis.t_set_independent():
-        mode = "basis"
-    else:
+    mode = recovery_mode(basis)
+    if mode is None:
         return IntrusionAuditReport(ds.name, trials, None, assumption_ok=False)
 
     report = IntrusionAuditReport(ds.name, trials, mode, assumption_ok=True)
     items = ds.items
     for trial in range(trials):
         ia, ib = int(rng.integers(len(items))), int(rng.integers(len(items)))
-        lam = sample_lambda(params, rng)
-        while abs(lam - 0.5) < HALF_GUARD:
-            lam = sample_lambda(params, rng)
+        lam = sample_decodable_lambda(params, rng)
         ga, ya = items[ia]
         gb, yb = items[ib]
         mixed = mix_pair(ga, gb, lam)
@@ -455,22 +502,7 @@ def intrusion_audit(
             if report.first_failure is None:
                 report.first_failure = f"trial {trial}: pair ({ia}, {ib}), lam={lam}: {exc}"
             continue
-        direct = (
-            rec.lam is not None
-            and abs(rec.lam - lam) <= tol
-            and _graphs_equal(rec.graph_a, ga, tol)
-            and _graphs_equal(rec.graph_b, gb, tol)
-        )
-        mirrored = (
-            rec.lam is not None
-            and abs(rec.lam - (1.0 - lam)) <= tol
-            and _graphs_equal(rec.graph_a, gb, tol)
-            and _graphs_equal(rec.graph_b, ga, tol)
-        )
-        identical_ok = rec.sources_identical and _graphs_equal(ga, gb, tol) and _graphs_equal(
-            rec.graph_a, ga, tol
-        )
-        if not (direct or mirrored or identical_ok):
+        if not rec.matches(ga, gb, lam, tol):
             report.recovery_failures += 1
             if report.first_failure is None:
                 report.first_failure = (

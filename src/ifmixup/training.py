@@ -35,7 +35,7 @@ from .graphs import (
     permute_nodes,
     validate_graph,
 )
-from .mixing import BetaParams, mix_items, mix_labels, sample_lambda
+from .mixing import SWEEP_BETAS, BetaParams, mix_items, mix_labels, sample_lambda
 from .models import (
     ModelConfig,
     ModelParams,
@@ -48,7 +48,7 @@ from .models import (
     wrap_params,
 )
 from .augment import drop_edge, drop_node
-from .recovery import HALF_GUARD
+from .recovery import sample_decodable_lambda
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -211,14 +211,12 @@ def build_epoch_stream(
         return out
 
     if kind in ("if_mixup", "if_mixup_shuffled"):
+        draw = sample_decodable_lambda if cfg.audit_mixes else sample_lambda
         out = []
         for ia, ib in _draw_pairs(n, rng):
             ga, ya = items[ia]
             gb, yb = items[ib]
-            lam = sample_lambda(cfg.augment.beta, rng)
-            if cfg.audit_mixes:
-                while abs(lam - 0.5) < HALF_GUARD:
-                    lam = sample_lambda(cfg.augment.beta, rng)
+            lam = draw(cfg.augment.beta, rng)
             if kind == "if_mixup_shuffled":
                 gb = permute_nodes(gb, rng.permutation(gb.n))
             mixed = mix_items((ga, ya), (gb, yb), lam)
@@ -391,6 +389,10 @@ def train_single(
     """Train on one split; logs mean train loss and val accuracy per epoch."""
     if not train_items or not val_items:
         raise ValueError("train and validation splits must be nonempty")
+    for split, items in (("train", train_items), ("validation", val_items)):
+        for i, (g, _) in enumerate(items):
+            if not (np.isfinite(g.v).all() and np.isfinite(g.e).all()):
+                raise ValueError(f"{split} item {i} has non-finite features or edge weights")
     d = train_items[0][0].d
     c = len(train_items[0][1].p)
     params = init_params(cfg.model, d, c, rng)
@@ -495,7 +497,7 @@ def sweep(
     """Cross-validate along one axis: Beta parameters or model depth."""
     cells = []
     if axis == "beta":
-        for params in values if values is not None else _default_beta_values():
+        for params in values if values is not None else SWEEP_BETAS:
             cfg = replace(
                 base, augment=replace(base.augment, kind="if_mixup", beta=params)
             )
@@ -508,12 +510,6 @@ def sweep(
     else:
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'beta' or 'layers'")
     return cells
-
-
-def _default_beta_values() -> tuple[BetaParams, ...]:
-    from .mixing import SWEEP_BETAS
-
-    return SWEEP_BETAS
 
 
 # -- serialization -------------------------------------------------------------------

@@ -489,15 +489,8 @@ def read_weighted_graph(directory: str, name: str) -> NodeFeaturedGraph:
 
 def make_fixture_dataset(directory: str) -> TUDatasetFiles:
     """Write the minimal documented fixture: one 2-node, 1-edge graph."""
-    os.makedirs(directory, exist_ok=True)
-    files = TUDatasetFiles(directory, "FIXTURE")
-    with open(files.a_path, "w", encoding="utf-8") as fh:
-        fh.write("1, 2\n2, 1\n")
-    with open(files.indicator_path, "w", encoding="utf-8") as fh:
-        fh.write("1\n1\n")
-    with open(files.graph_labels_path, "w", encoding="utf-8") as fh:
-        fh.write("1\n")
-    return files
+    graph = ParsedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return write_tudataset(ParsedDataset("FIXTURE", [graph], [0], 1, [1]), directory)
 
 
 def make_synthetic_molecules(

@@ -10,9 +10,11 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import ifmixup as m
+import ifmixup.cli
 from ifmixup.cli import run_command
 
 from conftest import source_env
@@ -116,6 +118,21 @@ class TestMixRecover:
         assert 0.0 < meta["lam"] < 1.0
         assert len(meta["source_indices"]) == 2
         assert abs(sum(meta["label"]) - 1.0) < 1e-9
+
+    def test_recover_names_violated_assumption(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "mixed")
+        os.makedirs(out)
+        assert run_command(["mix", dataset_dir, "SYN", "--seed", "4", "--out", out]) == 0
+        # a source set whose vocabulary and coefficient collection are both dependent
+        graphs = [m.NodeFeaturedGraph(np.array([[x, 0.0]]), np.zeros((1, 1))) for x in (1.0, 2.0)]
+        items = [(g, m.LabelDistribution.one_hot(c, 2)) for c, g in enumerate(graphs)]
+        dependent = m.GraphDataset(items, 2, 2, "DEP-T")
+        monkeypatch.setattr(ifmixup.cli, "load_dataset", lambda *args: dependent)
+        capsys.readouterr()
+        assert run_command(["recover", out]) == 1
+        captured = capsys.readouterr()
+        assert "recovery mode" not in captured.out
+        assert "DEP-T: neither the feature vocabulary nor the coefficient" in captured.err
 
     def test_recover_needs_sidecar(self, tmp_path, capsys):
         assert run_command(["recover", str(tmp_path)]) == 1

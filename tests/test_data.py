@@ -32,6 +32,20 @@ class TestParse:
         assert g.n == 2
         assert g.e[0, 1] == 1.0 and g.e[1, 0] == 1.0
 
+    def test_fixture_files_are_exact(self, tmp_path):
+        files = m.make_fixture_dataset(str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "FIXTURE_A.txt", "FIXTURE_graph_indicator.txt", "FIXTURE_graph_labels.txt"
+        ]
+        expected = {
+            files.a_path: b"1, 2\n2, 1\n",
+            files.indicator_path: b"1\n1\n",
+            files.graph_labels_path: b"1\n",
+        }
+        for path, content in expected.items():
+            with open(path, "rb") as fh:
+                assert fh.read() == content
+
     def test_two_graphs_split_by_indicator(self, tmp_path):
         files = make_files(
             tmp_path,

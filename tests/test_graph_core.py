@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -62,6 +63,19 @@ class TestValidateGraph:
         g.v = np.eye(3)
         msgs = m.validate_graph(g)
         assert len(msgs) == 1 and "dimension mismatch" in msgs[0]
+
+    def test_non_finite_feature(self):
+        g = g2()
+        g.v[1, 0] = np.nan
+        assert m.validate_graph(g) == ["non-finite feature at (1,0): nan (1 entries total)"]
+
+    def test_non_finite_weight_reported_alone(self):
+        # NaN also compares unequal to its mirror and lies outside [0, 1]
+        msgs = m.validate_graph(g2(np.inf)) + m.validate_graph(g2(np.nan))
+        assert msgs == [
+            "non-finite weight at (0,1): inf (2 entries total)",
+            "non-finite weight at (0,1): nan (2 entries total)",
+        ]
 
 
 class TestPadding:
@@ -195,6 +209,17 @@ class TestLinearIndependence:
         rows = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         assert m.independent_row_subset(rows) == [0, 2]
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_independent_row_subset_is_exact_greedy(self, d):
+        """Row i is kept exactly when it raises the exact rank of rows 0..i."""
+        vectors = list(itertools.product((0, 1), repeat=d))
+        exact_rank = functools.cache(lambda rows: self._exact_rank(list(rows)))
+        for size in range(1, 6):
+            for subset in itertools.combinations(vectors, size):
+                ranks = [exact_rank(subset[:k]) for k in range(size + 1)]
+                greedy = [i for i in range(size) if ranks[i + 1] > ranks[i]]
+                assert m.independent_row_subset(np.array(subset, dtype=float)) == greedy
+
     def test_coefficients_exact_on_span(self):
         basis = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         v = np.array([[0.7, 0.7, 0.3], [1.0, 1.0, 0.0]])
@@ -249,6 +274,25 @@ class TestFeatureVocabulary:
         assert fb.rank == 2 and not fb.vocabulary_independent()
         for t, g in zip(fb.coeffs, ds.graphs()):
             assert np.max(np.abs(t @ fb.basis - g.v)) < 1e-9
+
+    def test_vocabulary_independent_matches_elimination(self):
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for _ in range(200):
+            d = int(rng.integers(1, 6))
+            v = rng.integers(0, 3, size=(int(rng.integers(1, 8)), d)).astype(float)
+            n = v.shape[0]
+            ds = m.GraphDataset(
+                [(m.NodeFeaturedGraph(v, np.zeros((n, n))), m.LabelDistribution.one_hot(0, 1))],
+                1,
+                d,
+            )
+            fb = m.feature_vocabulary(ds)
+            if len(fb.vocabulary):
+                ok, _ = m.check_linear_independence(fb.vocabulary)
+                assert fb.vocabulary_independent() == ok
+                verdicts.add(ok)
+        assert verdicts == {True, False}
 
     def test_t_set_deduplicates(self):
         v = np.eye(2)

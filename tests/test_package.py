@@ -1,12 +1,19 @@
-"""Package metadata: the declared version and the public export list."""
+"""Package metadata: the declared version, the public export list, and the
+names the benchmark reaches into."""
 
 from __future__ import annotations
 
+import importlib
 import os
+import sys
 
+import numpy as np
 import pytest
 
 import ifmixup as m
+import ifmixup.mixing
+import ifmixup.recovery
+import ifmixup.training
 
 PYPROJECT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml"
@@ -24,3 +31,61 @@ def test_all_exports_resolve_once():
     assert len(m.__all__) == len(set(m.__all__))
     missing = [name for name in m.__all__ if not hasattr(m, name)]
     assert missing == []
+
+
+BENCHMARKS = os.path.join(os.path.dirname(PYPROJECT), "benchmarks")
+BENCHMARK_MODULES = ("workloads", "inputs", "spans", "speed")
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """``benchmarks/workloads.py``, imported the way ``benchmarks/run.py`` does."""
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        for name in BENCHMARK_MODULES:
+            sys.modules.pop(name, None)
+
+
+def test_benchmark_span_targets_see_calls(bench_workloads, monkeypatch):
+    """Each attribute the benchmark rebinds for a span is called through it.
+
+    The benchmark times the package from outside by rebinding module
+    attributes. A call that bypasses the binding (say, a name bound at
+    import time) leaves its span with no samples and no error.
+    """
+    targets = bench_workloads.AUDIT_TARGETS + bench_workloads.RECOVER_TARGETS
+    targets = targets + [(ifmixup.mixing, "mix_pair", "mixing.mix_pair")]
+    calls: dict[tuple[str, str], int] = {}
+    for owner, attr, _ in targets:
+        key = (owner.__name__, attr)
+        if key not in calls:
+            calls[key] = 0
+
+            def counted(*args, _fn=getattr(owner, attr), _key=key, **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+    parsed = m.make_synthetic_molecules(num_graphs=12, seed=3)
+    ds = m.encode_node_features(parsed, "one_hot_labels")
+    report = bench_workloads.intrusion_audit(ds, 3, m.BetaParams(2, 2), np.random.default_rng(0))
+    assert report.ok() and report.mode == "independent"
+
+    v = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])  # dependent vocabulary
+    g = m.NodeFeaturedGraph(v, np.zeros((3, 3)))
+    h = m.NodeFeaturedGraph(v[::-1].copy(), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    pair = m.GraphDataset([(x, m.LabelDistribution.one_hot(0, 1)) for x in (g, h)], 1, 2)
+    for (a, b), basis, mode in (
+        (ds.graphs()[:2], m.feature_vocabulary(ds), "independent"),
+        ((g, h), m.feature_vocabulary(pair), "basis"),
+    ):
+        rec = ifmixup.recovery.recover_pair(m.mix_pair(a, b, 0.3), basis, mode)
+        assert rec.matches(a, b, 0.3)
+
+    cfg = m.TrainConfig(augment=m.AugmentSpec("if_mixup", beta=m.BetaParams(2, 2)))
+    ifmixup.training.build_epoch_stream(ds.items, cfg, np.random.default_rng(0))
+
+    assert {key: n for key, n in calls.items() if n == 0} == {}

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import ifmixup as m
-from ifmixup.recovery import RecoveryError
+import ifmixup.recovery
+from ifmixup.recovery import HALF_GUARD, RecoveryError, recovery_mode, sample_decodable_lambda
 
 from conftest import graphs_equal, rand_one_hot_graph
 
@@ -82,6 +83,10 @@ class TestEdgeSolutions:
         with pytest.raises(RecoveryError, match="indistinguishable from 0.5"):
             m.edge_solutions(sym({(0, 1): 0.5}, 2))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(RecoveryError, match=r"non-finite mixed edge weight at \(0, 2\): nan"):
+            m.edge_solutions(sym({(0, 1): 0.3, (0, 2): np.nan}, 3))
+
 
 ONE_HOTS_3 = np.eye(3)
 
@@ -132,6 +137,12 @@ class TestRecoverFeaturesIndependent:
         with pytest.raises(RecoveryError):
             m.recover_features_independent(np.array([[0.0, 0.0, 0.7]]), 0.7, voc)
 
+    def test_non_finite_rejected(self):
+        # a NaN row fails every "residual > tol" test, so unchecked it reads as a dummy row
+        mixed = np.array([[0.7, 0.3, 0.0], [np.nan, 0.0, 0.0]])
+        with pytest.raises(RecoveryError, match=r"non-finite mixed node feature at \(1, 0\)"):
+            m.recover_features_independent(mixed, 0.7, ONE_HOTS_3)
+
 
 def hand_basis() -> m.FeatureBasis:
     """n=1 coefficient matrices over a 2-row basis of 3-dim features."""
@@ -149,6 +160,10 @@ def hand_basis() -> m.FeatureBasis:
 
 
 class TestRecoverFeaturesBasis:
+    def test_non_finite_rejected(self):
+        with pytest.raises(RecoveryError, match=r"non-finite mixed node feature at \(0, 2\): inf"):
+            m.recover_features_basis(np.array([[0.7, 0.7, np.inf]]), 0.7, hand_basis())
+
     def test_hand_example(self):
         fb = hand_basis()
         v, vp = m.recover_features_basis(np.array([[0.7, 0.7, 0.3]]), 0.7, fb)
@@ -384,12 +399,101 @@ class TestRecoverPair:
         assert rec.lam == pytest.approx(0.3, abs=1e-9)  # canonical mirror of 0.7
         assert graphs_equal(rec.graph_a, b) and graphs_equal(rec.graph_b, a)
 
+    @pytest.mark.parametrize("edges", [{(0, 1): 1.0}, {(0, 1): 0.3}], ids=["degenerate", "soft"])
+    def test_non_finite_features_rejected(self, edges):
+        a = m.NodeFeaturedGraph(np.eye(3)[:2], sym({(0, 1): 1.0}, 2))
+        mixed = m.NodeFeaturedGraph(np.array([[0.3, 0.7, 0.0], [np.nan, 0.0, 0.0]]), sym(edges, 2))
+        with pytest.raises(RecoveryError, match="non-finite mixed node feature"):
+            m.recover_pair(mixed, two_graph_basis(a, a))
+
     def test_strip_dummy_nodes(self):
         g = rand_one_hot_graph(np.random.default_rng(13), 4, 3)
         padded = m.pad_graph(g, 7)
         assert graphs_equal(m.strip_dummy_nodes(padded), g)
         # a graph with no dummies is returned intact
         assert graphs_equal(m.strip_dummy_nodes(g), g)
+
+
+class TestMatches:
+    def pair(self, lam=0.27):
+        rng = np.random.default_rng(14)
+        a, b = rand_one_hot_graph(rng, 3, 4), rand_one_hot_graph(rng, 5, 4)
+        return a, b, m.recover_pair(m.mix_pair(a, b, lam), two_graph_basis(a, b))
+
+    def test_direct_and_mirrored(self):
+        a, b, rec = self.pair()
+        assert rec.matches(a, b, 0.27) and rec.matches(b, a, 0.73)
+        assert not rec.matches(b, a, 0.27) and not rec.matches(a, b, 0.73)
+
+    def test_ratio_must_agree(self):
+        a, b, rec = self.pair()
+        assert not rec.matches(a, b, 0.27 + 1e-8)
+
+    def test_feature_drift_rejected(self):
+        a, b, rec = self.pair()
+        drifted = m.NodeFeaturedGraph(a.v * (1.0 + 1e-6), a.e)
+        # allclose's default rtol=1e-5 accepts this drift even at atol=1e-9
+        assert np.allclose(drifted.v, a.v, atol=1e-9)
+        assert not rec.matches(drifted, b, 0.27)
+
+    def test_identical_sources(self):
+        g = rand_one_hot_graph(np.random.default_rng(12), 4, 3)
+        rec = m.recover_pair(m.mix_pair(g, g, 0.3), two_graph_basis(g, g))
+        assert rec.matches(g, g, 0.3) and rec.matches(g, g, 0.9)
+        other = rand_one_hot_graph(np.random.default_rng(15), 4, 3)
+        assert not rec.matches(g, other, 0.3)
+
+
+def dependent_vocabulary_dataset() -> m.GraphDataset:
+    """V dependent, coefficient collection independent: basis mode."""
+    v = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    g = m.NodeFeaturedGraph(v, np.zeros((3, 3)))
+    h = m.NodeFeaturedGraph(v[::-1].copy(), sym({(0, 1): 1.0}, 3))
+    return m.GraphDataset(
+        [(g, m.LabelDistribution.one_hot(0, 2)), (h, m.LabelDistribution.one_hot(1, 2))],
+        2,
+        2,
+        "DEP-V",
+    )
+
+
+def dependent_collection_dataset() -> m.GraphDataset:
+    """V and the coefficient collection both dependent: no decoder applies."""
+    g = m.NodeFeaturedGraph(np.array([[1.0, 0.0]]), np.zeros((1, 1)))
+    h = m.NodeFeaturedGraph(np.array([[2.0, 0.0]]), np.zeros((1, 1)))
+    return m.GraphDataset(
+        [(g, m.LabelDistribution.one_hot(0, 2)), (h, m.LabelDistribution.one_hot(1, 2))],
+        2,
+        2,
+        "DEP-T",
+    )
+
+
+class TestRecoveryMode:
+    def test_independent(self):
+        rng = np.random.default_rng(9)
+        basis = two_graph_basis(rand_one_hot_graph(rng, 3, 4), rand_one_hot_graph(rng, 5, 4))
+        assert recovery_mode(basis) == "independent"
+
+    def test_basis(self):
+        assert recovery_mode(m.feature_vocabulary(dependent_vocabulary_dataset())) == "basis"
+
+    def test_none(self):
+        assert recovery_mode(m.feature_vocabulary(dependent_collection_dataset())) is None
+
+
+class TestDecodableLambda:
+    def test_redraws_within_guard(self, monkeypatch):
+        draws = iter([0.5, 0.5 - 0.5 * HALF_GUARD, 0.5 + 2 * HALF_GUARD, 0.3])
+        monkeypatch.setattr(ifmixup.recovery, "sample_lambda", lambda params, rng: next(draws))
+        assert sample_decodable_lambda(m.BetaParams(2, 2), None) == 0.5 + 2 * HALF_GUARD
+        assert next(draws) == 0.3  # exactly three draws taken
+
+    def test_same_stream_away_from_half(self):
+        params = m.BetaParams(2, 2)
+        guarded, plain = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(50):
+            assert sample_decodable_lambda(params, guarded) == m.sample_lambda(params, plain)
 
 
 class TestIntrusionAudit:
@@ -419,29 +523,14 @@ class TestIntrusionAudit:
     def test_dependent_vocabulary_uses_basis_mode(self):
         # V dependent but the coefficient collection independent: the audit
         # falls back to basis-mode recovery instead of giving up
-        v = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        g = m.NodeFeaturedGraph(v, np.zeros((3, 3)))
-        h = m.NodeFeaturedGraph(v[::-1].copy(), sym({(0, 1): 1.0}, 3))
-        ds = m.GraphDataset(
-            [(g, m.LabelDistribution.one_hot(0, 2)), (h, m.LabelDistribution.one_hot(1, 2))],
-            2,
-            2,
-            "DEP-V",
-        )
+        ds = dependent_vocabulary_dataset()
         report = m.intrusion_audit(ds, 10, m.BetaParams(2, 2), np.random.default_rng(2))
         assert report.assumption_ok and report.mode == "basis"
         assert report.ok()
 
     def test_assumption_violated_gate(self):
         # V dependent and the T collection dependent too: audit is skipped
-        g = m.NodeFeaturedGraph(np.array([[1.0, 0.0]]), np.zeros((1, 1)))
-        h = m.NodeFeaturedGraph(np.array([[2.0, 0.0]]), np.zeros((1, 1)))
-        ds = m.GraphDataset(
-            [(g, m.LabelDistribution.one_hot(0, 2)), (h, m.LabelDistribution.one_hot(1, 2))],
-            2,
-            2,
-            "DEP-T",
-        )
+        ds = dependent_collection_dataset()
         report = m.intrusion_audit(ds, 10, m.BetaParams(2, 2), np.random.default_rng(2))
         assert not report.assumption_ok
         assert report.mode is None

@@ -618,6 +618,38 @@ class TestTrainSingle:
         ):
             m.train_single(items, tiny_dataset.items[8:], self.config(), m.derive_rng(0, 0, 0))
 
+    @pytest.mark.parametrize("split, at, index", [("train", 3, 3), ("validation", 9, 1)])
+    def test_non_finite_item_rejected_by_index(self, tiny_dataset, split, at, index):
+        # NaN features pass the ReLU as zeros and leave the loss finite
+        items = list(tiny_dataset.items)
+        g, y = items[at]
+        items[at] = (m.NodeFeaturedGraph(g.v * np.nan, g.e), y)
+        with pytest.raises(ValueError, match=f"{split} item {index} has non-finite"):
+            m.train_single(items[:8], items[8:], self.config(), m.derive_rng(0, 0, 0))
+
+    def test_audit_mixes_reproduces_recorded_run(self, tiny_dataset):
+        """The guarded draw takes the same rng stream as the unguarded one.
+
+        No draw of this run falls within HALF_GUARD of 0.5. The losses and
+        accuracies are pinned, so any change in how the guard draws shows.
+        """
+        logs = []
+        for audit in (True, False):
+            cfg = self.config(
+                model=m.ModelConfig(arch="gin", k=2, hidden=8),
+                augment=m.AugmentSpec(kind="if_mixup", beta=m.BetaParams(1, 1)),
+                epochs=4,
+                audit_mixes=audit,
+            )
+            _, log = m.train_single(
+                tiny_dataset.items[:8], tiny_dataset.items[8:], cfg, m.derive_rng(3, 0, 0)
+            )
+            logs.append((log.train_loss, log.val_acc))
+        assert logs[0] == logs[1] == (
+            [2.8343456484975755, 3.0522462296285795, 1.596752665066047, 1.212907658562321],
+            [0.5, 0.5, 0.75, 0.5],
+        )
+
     def test_log_fn_called_per_epoch(self, tiny_dataset):
         calls = []
         m.train_single(
@@ -687,11 +719,14 @@ class TestSweep:
         assert [c.label for c in cells] == ["K=1", "K=2"]
         assert [c.config.model.k for c in cells] == [1, 2]
 
-    def test_default_beta_values_are_the_sweep_grid(self, tiny_dataset):
+    def test_default_beta_values_are_the_sweep_grid(self, tiny_dataset, monkeypatch):
         # only check the labels; running 5 cells x CV is acceptance-scale
-        from ifmixup.training import _default_beta_values
-
-        assert _default_beta_values() == m.SWEEP_BETAS
+        monkeypatch.setattr(ifmixup.training, "cross_validate", lambda ds, cfg, log_fn: None)
+        cells = m.sweep(tiny_dataset, self.base(), "beta")
+        assert [c.label for c in cells] == [
+            "beta(1,1)", "beta(2,2)", "beta(5,1)", "beta(10,1)", "beta(20,1)"
+        ]
+        assert [c.config.augment.beta for c in cells] == list(m.SWEEP_BETAS)
 
     def test_unknown_axis(self, tiny_dataset):
         with pytest.raises(ValueError, match="unknown sweep axis"):
