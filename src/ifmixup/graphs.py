@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Pivot tolerance for rank decisions and basis reconstruction. Benchmark
-# feature sets are one-hot dominated, so double precision row reduction is
-# effectively exact at this threshold.
+# Pivot tolerance for rank decisions and basis reconstruction, and the
+# singular-value floor of recovery's coefficient solve. Benchmark feature
+# sets are one-hot dominated, so double precision is effectively exact at
+# this threshold.
 RANK_TOL = 1e-9
 
 LABEL_SUM_TOL = 1e-9
@@ -67,6 +68,8 @@ class LabelDistribution:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
         if self.p.ndim != 1:
             raise ValueError("label distribution must be a vector")
+        if not np.isfinite(self.p).all():
+            raise ValueError(f"label distribution has non-finite entries: {self.p.tolist()}")
         if np.any(self.p < 0):
             raise ValueError("label distribution has negative entries")
         if abs(float(self.p.sum()) - 1.0) > LABEL_SUM_TOL:
@@ -222,9 +225,9 @@ def _pad_rows(t: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _row_reduce_rank(rows: np.ndarray, tol: float) -> tuple[int, list[int]]:
+def _row_reduce_rank(rows: np.ndarray) -> tuple[int, list[int]]:
     """Rank by Gaussian elimination with partial pivoting, plus the pivot
-    columns in order; pivots below tol are zero."""
+    columns in order; pivots below RANK_TOL are zero."""
     m = np.array(rows, dtype=np.float64)
     n_rows, n_cols = m.shape
     pivots: list[int] = []
@@ -233,7 +236,7 @@ def _row_reduce_rank(rows: np.ndarray, tol: float) -> tuple[int, list[int]]:
         if rank == n_rows:
             break
         pivot = rank + int(np.argmax(np.abs(m[rank:, col])))
-        if abs(m[pivot, col]) <= tol:
+        if abs(m[pivot, col]) <= RANK_TOL:
             continue
         m[[rank, pivot]] = m[[pivot, rank]]
         m[rank] = m[rank] / m[rank, col]
@@ -243,24 +246,22 @@ def _row_reduce_rank(rows: np.ndarray, tol: float) -> tuple[int, list[int]]:
     return len(pivots), pivots
 
 
-def check_linear_independence(
-    rows: np.ndarray | list[np.ndarray], tol: float = RANK_TOL
-) -> tuple[bool, int]:
+def check_linear_independence(rows: np.ndarray | list[np.ndarray]) -> tuple[bool, int]:
     """Whether the given vectors are linearly independent, plus their rank."""
     m = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if m.size == 0:
         raise ValueError("empty vector set")
-    rank, _ = _row_reduce_rank(m, tol)
+    rank, _ = _row_reduce_rank(m)
     return rank == m.shape[0], rank
 
 
-def independent_row_subset(rows: np.ndarray, tol: float = RANK_TOL) -> list[int]:
+def independent_row_subset(rows: np.ndarray) -> list[int]:
     """Indices of a maximal independent subset of rows, greedy in row order.
 
     These are the pivot columns of the elimination run on the rows as
     columns: row i is a pivot exactly when it leaves the span of rows 0..i-1.
     """
-    _, pivots = _row_reduce_rank(np.asarray(rows, dtype=np.float64).T, tol)
+    _, pivots = _row_reduce_rank(np.asarray(rows, dtype=np.float64).T)
     return pivots
 
 
@@ -277,11 +278,16 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     Deduplication is exact bitwise equality on feature rows; the zero row is
     excluded from V and appended to V*. The basis is the greedy maximal
     independent subset of V in lexicographic row order, so the result is
-    deterministic for a given dataset.
+    deterministic for a given dataset. Raises ValueError naming the graph
+    and the entry when a node feature is not finite.
     """
     if not ds.items:
         raise ValueError("empty dataset")
     all_rows = np.concatenate([g.v for g in ds.graphs()], axis=0)
+    if not np.isfinite(all_rows).all():
+        i, g = next((i, g) for i, g in enumerate(ds.graphs()) if not np.isfinite(g.v).all())
+        at = tuple(int(k) for k in np.argwhere(~np.isfinite(g.v))[0])
+        raise ValueError(f"graph {i}: non-finite node feature at {at}: {g.v[at]}")
     distinct = np.unique(all_rows, axis=0)
     nonzero = distinct[np.any(distinct != 0.0, axis=1)]
     vocabulary = nonzero

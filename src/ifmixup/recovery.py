@@ -18,7 +18,11 @@ vocabulary V is finite. Two constructive modes are implemented:
 * basis mode - only the collection of coefficient matrices T (one per
   training graph, features = T @ B for a basis B of SPAN(V)) is linearly
   independent. The mixed coefficient matrix, projected onto B, has a unique
-  coefficient vector over the collection, found by one Gram solve.
+  coefficient vector over the members that fit its size.
+
+Each solve is one least-squares call on the rows themselves whose singular
+values also prove the rows independent, so no decode runs a separate
+elimination.
 
 ``recovery_mode`` says which of the two a dataset admits, if either.
 
@@ -37,20 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (
-    FeatureBasis,
-    GraphDataset,
-    NodeFeaturedGraph,
-    check_linear_independence,
-    coefficients_in_basis,
-    _pad_rows,
-)
+from .graphs import RANK_TOL, FeatureBasis, GraphDataset, NodeFeaturedGraph, _pad_rows
 from .mixing import BetaParams, mix_labels, mix_pair, sample_lambda
 
 DEFAULT_TOL = 1e-9
 
 # Mixing ratios closer to 0.5 than this are resampled in audited streams;
-# closer than tol they are structurally unrecoverable.
+# closer than DEFAULT_TOL they are structurally unrecoverable.
 HALF_GUARD = 1e-6
 
 
@@ -134,46 +131,42 @@ class RecoveredPair:
     lam: float | None
     sources_identical: bool = False
 
-    def matches(
-        self, ga: NodeFeaturedGraph, gb: NodeFeaturedGraph, lam: float, tol: float = DEFAULT_TOL
-    ) -> bool:
+    def matches(self, ga: NodeFeaturedGraph, gb: NodeFeaturedGraph, lam: float) -> bool:
         """Whether this is the decode of ``mix_pair(ga, gb, lam)``.
 
         Accepts (lam, ga, gb), its mirror (1 - lam, gb, ga), and, when the
         sources are identical, that one graph with no ratio. Edges must be
-        equal and features within ``tol``.
+        equal and features within ``DEFAULT_TOL``.
         """
         decodes = [] if self.lam is None else [(lam, ga, gb), (1.0 - lam, gb, ga)]
         return any(
-            abs(self.lam - s) <= tol
-            and _graphs_equal(self.graph_a, a, tol)
-            and _graphs_equal(self.graph_b, b, tol)
+            abs(self.lam - s) <= DEFAULT_TOL
+            and _graphs_equal(self.graph_a, a)
+            and _graphs_equal(self.graph_b, b)
             for s, a, b in decodes
         ) or (
-            self.sources_identical
-            and _graphs_equal(ga, gb, tol)
-            and _graphs_equal(self.graph_a, ga, tol)
+            self.sources_identical and _graphs_equal(ga, gb) and _graphs_equal(self.graph_a, ga)
         )
 
 
-def _graphs_equal(a: NodeFeaturedGraph, b: NodeFeaturedGraph, tol: float) -> bool:
+def _graphs_equal(a: NodeFeaturedGraph, b: NodeFeaturedGraph) -> bool:
     return (
         a.n == b.n
         and np.array_equal(a.e, b.e)
-        and float(np.max(np.abs(a.v - b.v), initial=0.0)) <= tol
+        and float(np.max(np.abs(a.v - b.v), initial=0.0)) <= DEFAULT_TOL
     )
 
 
-def _cluster_values(values: np.ndarray, tol: float) -> list[float]:
-    """Distinct values present, grouping anything within tol of a seen value."""
+def _cluster_values(values: np.ndarray) -> list[float]:
+    """Distinct values present, grouping anything within DEFAULT_TOL of a seen value."""
     centers: list[float] = []
     for x in np.sort(values):
-        if not centers or x - centers[-1] > tol:
+        if not centers or x - centers[-1] > DEFAULT_TOL:
             centers.append(float(x))
     return centers
 
 
-def edge_solutions(e_mixed: np.ndarray, tol: float = DEFAULT_TOL) -> EdgeSolutionSet:
+def edge_solutions(e_mixed: np.ndarray) -> EdgeSolutionSet:
     """Solve s*e + (1-s)*e' = e_mixed for binary symmetric e, e' and scalar s.
 
     Returns the two mirrored solutions ordered with s < 0.5 first, or the
@@ -187,8 +180,8 @@ def edge_solutions(e_mixed: np.ndarray, tol: float = DEFAULT_TOL) -> EdgeSolutio
     iu, ju = np.triu_indices(n, k=1)
     values = e_mixed[iu, ju]
 
-    centers = _cluster_values(values, tol)
-    soft = [c for c in centers if c > tol and c < 1.0 - tol]
+    centers = _cluster_values(values)
+    soft = [c for c in centers if c > DEFAULT_TOL and c < 1.0 - DEFAULT_TOL]
     if len(centers) > 4:
         raise RecoveryError(
             f"{len(centers)} distinct edge values; a mix of two binary matrices has at most 4"
@@ -200,55 +193,55 @@ def edge_solutions(e_mixed: np.ndarray, tol: float = DEFAULT_TOL) -> EdgeSolutio
         e = np.where(e_mixed > 0.5, 1.0, 0.0)
         return EdgeSolutionSet([EdgeSolution(None, e, e.copy())], degenerate=True)
 
-    if len(soft) == 2 and abs(soft[0] + soft[1] - 1.0) > tol:
+    if len(soft) == 2 and abs(soft[0] + soft[1] - 1.0) > DEFAULT_TOL:
         raise RecoveryError(
             f"edge values {soft[0]} and {soft[1]} do not pair to a single mixing ratio"
         )
     s_lo = min(soft[0], 1.0 - soft[-1]) if len(soft) == 2 else min(soft[0], 1.0 - soft[0])
-    if abs(s_lo - 0.5) < tol:
+    if abs(s_lo - 0.5) < DEFAULT_TOL:
         raise RecoveryError("mixing ratio indistinguishable from 0.5")
 
     solutions = []
     for s in (s_lo, 1.0 - s_lo):
         # Under this s: values near s came from (e=1, e'=0), near 1-s from (0, 1).
-        e = np.where(np.abs(e_mixed - 1.0) <= tol, 1.0, 0.0)
+        e = np.where(np.abs(e_mixed - 1.0) <= DEFAULT_TOL, 1.0, 0.0)
         e_p = e.copy()
-        e[np.abs(e_mixed - s) <= tol] = 1.0
-        e_p[np.abs(e_mixed - (1.0 - s)) <= tol] = 1.0
+        e[np.abs(e_mixed - s) <= DEFAULT_TOL] = 1.0
+        e_p[np.abs(e_mixed - (1.0 - s)) <= DEFAULT_TOL] = 1.0
         np.fill_diagonal(e, 0.0)
         np.fill_diagonal(e_p, 0.0)
         residual = np.max(np.abs(s * e + (1.0 - s) * e_p - e_mixed))
-        if residual > tol:
+        if residual > DEFAULT_TOL:
             raise RecoveryError(f"edge values inconsistent with ratio {s}: residual {residual:.3e}")
         solutions.append(EdgeSolution(s, e, e_p))
     return EdgeSolutionSet(solutions, degenerate=False)
 
 
-def _split_coefficients(
-    coeff: np.ndarray, s: float, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _split_coefficients(coeff: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Read each row of ``coeff`` as s*[a] + (1-s)*[b] over an independent set.
 
     Returns the member indices (ia, ib) that the two sources took per row,
     with -1 for the zero (dummy) row. Raises RecoveryError naming the first
     row with any other pattern.
     """
-    if abs(s - 0.5) <= tol:
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    if abs(s - 0.5) <= DEFAULT_TOL:
         raise RecoveryError("s = 0.5 makes the two feature assignments indistinguishable")
     rows, width = coeff.shape
     # Per side, the first member at s (a's side) or 1-s (b's side), or at 1
     # for both; a row with none falls through to a spare column, the dummy row.
-    near = np.abs(coeff - np.array([s, 1.0 - s])[:, None, None]) <= tol
-    near |= np.abs(coeff - 1.0) <= tol
+    near = np.abs(coeff - np.array([s, 1.0 - s])[:, None, None]) <= DEFAULT_TOL
+    near |= np.abs(coeff - 1.0) <= DEFAULT_TOL
     ia, ib = np.concatenate([near, np.ones((2, rows, 1), dtype=bool)], axis=2).argmax(axis=2)
 
     expected = np.zeros((rows, width + 1))
     expected[np.arange(rows), ia] = s
     expected[np.arange(rows), ib] += 1.0 - s
-    bad = np.flatnonzero((np.abs(coeff - expected[:, :width]) > tol).any(axis=1))
+    bad = np.flatnonzero((np.abs(coeff - expected[:, :width]) > DEFAULT_TOL).any(axis=1))
     if bad.size:
         r = int(bad[0])
-        nonzero = coeff[r][np.abs(coeff[r]) > tol].tolist()
+        nonzero = coeff[r][np.abs(coeff[r]) > DEFAULT_TOL].tolist()
         raise RecoveryError(
             f"row {r}: coefficients {nonzero} are not s*[a] + (1-s)*[b] for s={s}"
         )
@@ -257,120 +250,115 @@ def _split_coefficients(
     return ia, ib
 
 
-def _coefficients_over_vocabulary(
-    v_mixed: np.ndarray, vocabulary: np.ndarray, tol: float
+_OFF_SPAN = "mixed features leave SPAN(V)"
+_NO_PAIR = "no training coefficient pair reproduces the mixed features"
+
+
+def _unique_coefficients(
+    target: np.ndarray, rows: np.ndarray, what: str, misfit: str
 ) -> np.ndarray:
-    """Coefficients of each mixed row over V, by projection."""
-    _require_finite(v_mixed, "mixed node feature")
-    coeff = coefficients_in_basis(v_mixed, vocabulary)
-    residual = np.max(np.abs(coeff @ vocabulary - v_mixed))
-    if residual > tol:
-        raise RecoveryError(f"mixed features leave SPAN(V): projection residual {residual:.3e}")
+    """The coefficients C with C @ rows = target, proven unique by the same solve.
+
+    One least-squares solve on ``rows`` itself (not on its Gram matrix,
+    which squares the condition number). The rows are independent exactly
+    when there are no more of them than columns and no singular value is at
+    most RANK_TOL; an empty set is independent. Raises RecoveryError naming
+    ``what`` when they are not, and ``misfit`` when target leaves their span.
+    """
+    x, _, _, singular = np.linalg.lstsq(rows.T, target.T, rcond=None)
+    if rows.shape[0] > rows.shape[1] or np.min(singular, initial=np.inf) <= RANK_TOL:
+        raise RecoveryError(f"{what} is not linearly independent")
+    coeff = x.T
+    residual = np.max(np.abs(coeff @ rows - target), initial=0.0)
+    if residual > DEFAULT_TOL:
+        raise RecoveryError(f"{misfit}: residual {residual:.3e}")
     return coeff
 
 
+def _coefficients_over_vocabulary(v_mixed: np.ndarray, vocabulary: np.ndarray) -> np.ndarray:
+    """Coefficients of each mixed row over V, unique because V is independent."""
+    _require_finite(v_mixed, "mixed node feature")
+    return _unique_coefficients(v_mixed, vocabulary, "feature vocabulary", _OFF_SPAN)
+
+
 def _coefficients_over_t_set(
-    v_mixed: np.ndarray, basis: FeatureBasis, tol: float
+    v_mixed: np.ndarray, basis: FeatureBasis
 ) -> tuple[np.ndarray, np.ndarray]:
     """One row of coefficients of the mixed coefficient matrix over the
-    training matrices that fit in it, plus those matrices padded to its size."""
-    _require_finite(v_mixed, "mixed node feature")
-    if not basis.t_set_independent():
-        raise RecoveryError("coefficient collection is not linearly independent")
-    t_mixed = coefficients_in_basis(v_mixed, basis.basis)
-    residual = np.max(np.abs(t_mixed @ basis.basis - v_mixed))
-    if residual > tol:
-        raise RecoveryError(f"mixed features leave SPAN(V): projection residual {residual:.3e}")
+    training matrices that fit in it, plus those matrices padded to its size.
 
+    Only the members that fit must be independent: that is exactly what
+    makes this row unique."""
+    _require_finite(v_mixed, "mixed node feature")
+    t_mixed = _unique_coefficients(v_mixed, basis.basis, "span basis", _OFF_SPAN)
     n = v_mixed.shape[0]
     members = [_pad_rows(t, n) for t in basis.t_set if t.shape[0] <= n]
     if not members:
-        raise RecoveryError("no training coefficient pair reproduces the mixed features")
+        raise RecoveryError(_NO_PAIR)
     members = np.stack(members)
     flat = members.reshape(len(members), -1)
-    target = t_mixed.reshape(1, -1)
-    coeff = coefficients_in_basis(target, flat)
-    if np.max(np.abs(coeff @ flat - target)) > tol:
-        raise RecoveryError("no training coefficient pair reproduces the mixed features")
+    coeff = _unique_coefficients(t_mixed.reshape(1, -1), flat, "coefficient collection", _NO_PAIR)
     return coeff, members
 
 
 def recover_features_independent(
-    v_mixed: np.ndarray,
-    s: float,
-    vocabulary: np.ndarray,
-    tol: float = DEFAULT_TOL,
+    v_mixed: np.ndarray, s: float, vocabulary: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode v_mixed = s*v + (1-s)*v' when the vocabulary is independent.
 
     Every row of v and v' must lie in the vocabulary extended with the zero
-    row. Raises RecoveryError when some row admits no such decomposition.
+    row. Raises RecoveryError when the vocabulary is dependent or some row
+    admits no such decomposition.
     """
     v_mixed = np.atleast_2d(np.asarray(v_mixed, dtype=np.float64))
     vocabulary = np.atleast_2d(np.asarray(vocabulary, dtype=np.float64))
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    ok, _ = check_linear_independence(vocabulary, tol)
-    if not ok:
-        raise RecoveryError("feature vocabulary is not linearly independent")
-
-    ia, ib = _split_coefficients(_coefficients_over_vocabulary(v_mixed, vocabulary, tol), s, tol)
+    ia, ib = _split_coefficients(_coefficients_over_vocabulary(v_mixed, vocabulary), s)
     vocabulary_star = np.concatenate([vocabulary, np.zeros((1, vocabulary.shape[1]))])
     return vocabulary_star[ia], vocabulary_star[ib]
 
 
 def recover_features_basis(
-    v_mixed: np.ndarray,
-    s: float,
-    basis: FeatureBasis,
-    tol: float = DEFAULT_TOL,
+    v_mixed: np.ndarray, s: float, basis: FeatureBasis
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode v_mixed = s*v + (1-s)*v' when the coefficient collection is independent.
 
     Projects the mixed rows onto the span basis to obtain the mixed
     coefficient matrix, solves for its unique coefficients over the training
-    collection, and reads the source pair (T, T') off them.
+    matrices that fit it, and reads the source pair (T, T') off them.
     """
     v_mixed = np.atleast_2d(np.asarray(v_mixed, dtype=np.float64))
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    coeff, members = _coefficients_over_t_set(v_mixed, basis, tol)
-    ia, ib = _split_coefficients(coeff, s, tol)
+    coeff, members = _coefficients_over_t_set(v_mixed, basis)
+    ia, ib = _split_coefficients(coeff, s)
     if ia[0] < 0 or ib[0] < 0:
-        raise RecoveryError("no training coefficient pair reproduces the mixed features")
+        raise RecoveryError(_NO_PAIR)
     return members[ia[0]] @ basis.basis, members[ib[0]] @ basis.basis
 
 
-def _infer_ratio_from_features(
-    v_mixed: np.ndarray, basis: FeatureBasis, mode: str, tol: float
-) -> float | None:
+def _infer_ratio_from_features(v_mixed: np.ndarray, basis: FeatureBasis, mode: str) -> float | None:
     """The mixing ratio implied by the feature matrix alone, or None if the
     feature sides are identical too. Used when the edge step is degenerate."""
     if mode == "independent":
-        coeff = _coefficients_over_vocabulary(v_mixed, basis.vocabulary, tol)
+        coeff = _coefficients_over_vocabulary(v_mixed, basis.vocabulary)
     else:
-        coeff, _ = _coefficients_over_t_set(v_mixed, basis, tol)
+        coeff, _ = _coefficients_over_t_set(v_mixed, basis)
     flat = coeff.ravel()
-    soft = _cluster_values(flat[(np.abs(flat) > tol) & (np.abs(flat - 1.0) > tol)], tol)
+    soft = _cluster_values(flat[(np.abs(flat) > DEFAULT_TOL) & (np.abs(flat - 1.0) > DEFAULT_TOL)])
     if not soft:
         return None
-    if len(soft) == 1:
-        s = soft[0]
-    elif len(soft) == 2 and abs(soft[0] + soft[1] - 1.0) <= tol:
-        s = soft[0]
-    else:
+    if len(soft) > 2 or (len(soft) == 2 and abs(soft[0] + soft[1] - 1.0) > DEFAULT_TOL):
         raise RecoveryError(f"feature coefficients {soft} imply no single mixing ratio")
-    if abs(s - 0.5) < tol:
+    s = soft[0]
+    if abs(s - 0.5) < DEFAULT_TOL:
         raise RecoveryError("mixing ratio indistinguishable from 0.5")
     return min(s, 1.0 - s)
 
 
-def strip_dummy_nodes(g: NodeFeaturedGraph, tol: float = DEFAULT_TOL) -> NodeFeaturedGraph:
+def strip_dummy_nodes(g: NodeFeaturedGraph) -> NodeFeaturedGraph:
     """Remove trailing zero-feature, zero-degree nodes (inverts pad_graph)."""
     n = g.n
     while n > 0:
         i = n - 1
-        if np.max(np.abs(g.v[i])) <= tol and not np.any(g.e[i, :n] != 0.0):
+        if np.max(np.abs(g.v[i])) <= DEFAULT_TOL and not np.any(g.e[i, :n] != 0.0):
             n -= 1
         else:
             break
@@ -380,10 +368,7 @@ def strip_dummy_nodes(g: NodeFeaturedGraph, tol: float = DEFAULT_TOL) -> NodeFea
 
 
 def recover_pair(
-    g_mixed: NodeFeaturedGraph,
-    basis: FeatureBasis,
-    mode: str = "independent",
-    tol: float = DEFAULT_TOL,
+    g_mixed: NodeFeaturedGraph, basis: FeatureBasis, mode: str = "independent"
 ) -> RecoveredPair:
     """Decode a mixed graph back into its two sources and the mixing ratio.
 
@@ -394,27 +379,27 @@ def recover_pair(
     if mode not in ("independent", "basis"):
         raise ValueError(f"unknown recovery mode {mode!r}")
 
-    sol = edge_solutions(g_mixed.e, tol).solutions[0]  # canonical: s < 0.5
-    s = sol.s if sol.s is not None else _infer_ratio_from_features(g_mixed.v, basis, mode, tol)
+    sol = edge_solutions(g_mixed.e).solutions[0]  # canonical: s < 0.5
+    s = sol.s if sol.s is not None else _infer_ratio_from_features(g_mixed.v, basis, mode)
     if s is None:
         ga = NodeFeaturedGraph(g_mixed.v.copy(), sol.e)
         gb = NodeFeaturedGraph(g_mixed.v.copy(), sol.e_prime)
-        return RecoveredPair(strip_dummy_nodes(ga, tol), strip_dummy_nodes(gb, tol), None, True)
+        return RecoveredPair(strip_dummy_nodes(ga), strip_dummy_nodes(gb), None, True)
 
     if mode == "independent":
-        va, vb = recover_features_independent(g_mixed.v, s, basis.vocabulary, tol)
+        va, vb = recover_features_independent(g_mixed.v, s, basis.vocabulary)
     else:
-        va, vb = recover_features_basis(g_mixed.v, s, basis, tol)
+        va, vb = recover_features_basis(g_mixed.v, s, basis)
     ga = NodeFeaturedGraph(va, sol.e)
     gb = NodeFeaturedGraph(vb, sol.e_prime)
 
     remix_e = s * ga.e + (1.0 - s) * gb.e
     remix_v = s * ga.v + (1.0 - s) * gb.v
     drift = max(np.max(np.abs(remix_e - g_mixed.e)), np.max(np.abs(remix_v - g_mixed.v)))
-    if drift > 10 * tol:
+    if drift > 10 * DEFAULT_TOL:
         raise RecoveryError(f"edge and feature recoveries disagree: remix residual {drift:.3e}")
 
-    return RecoveredPair(strip_dummy_nodes(ga, tol), strip_dummy_nodes(gb, tol), s)
+    return RecoveredPair(strip_dummy_nodes(ga), strip_dummy_nodes(gb), s)
 
 
 @dataclass
@@ -453,7 +438,6 @@ def intrusion_audit(
     trials: int,
     params: BetaParams,
     rng: np.random.Generator,
-    tol: float = DEFAULT_TOL,
 ) -> IntrusionAuditReport:
     """Mix random pairs and verify no label-conflicting collision can arise.
 
@@ -496,13 +480,13 @@ def intrusion_audit(
                     break
 
         try:
-            rec = recover_pair(mixed, basis, mode, tol)
+            rec = recover_pair(mixed, basis, mode)
         except RecoveryError as exc:
             report.recovery_failures += 1
             if report.first_failure is None:
                 report.first_failure = f"trial {trial}: pair ({ia}, {ib}), lam={lam}: {exc}"
             continue
-        if not rec.matches(ga, gb, lam, tol):
+        if not rec.matches(ga, gb, lam):
             report.recovery_failures += 1
             if report.first_failure is None:
                 report.first_failure = (

@@ -147,6 +147,11 @@ class TestLabelDistribution:
         # within tolerance is fine
         m.LabelDistribution(np.array([0.5, 0.5 + 5e-10]))
 
+    def test_non_finite_rejected(self):
+        # NaN fails both the sign test and the sum test, so neither catches it
+        with pytest.raises(ValueError, match=r"non-finite entries: \[nan, 1.0\]"):
+            m.LabelDistribution(np.array([np.nan, 1.0]))
+
 
 class TestLinearIndependence:
     def test_identity_rows_independent(self):
@@ -322,6 +327,14 @@ class TestFeatureVocabulary:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             m.feature_vocabulary(m.GraphDataset([], 1, 2, "E"))
+
+    def test_non_finite_feature_rejected(self):
+        # NaN passes the reconstruction check, so unchecked [1, nan] joins V
+        g = m.NodeFeaturedGraph(np.array([[1.0, np.nan]]), np.zeros((1, 1)))
+        h = m.NodeFeaturedGraph(np.array([[0.0, 1.0]]), np.zeros((1, 1)))
+        ds = m.GraphDataset([(x, m.LabelDistribution.one_hot(0, 1)) for x in (h, g)], 1, 2, "NAN")
+        with pytest.raises(ValueError, match=r"graph 1: non-finite node feature at \(0, 1\): nan"):
+            m.feature_vocabulary(ds)
 
 
 class TestDatasetStats:

@@ -4,6 +4,7 @@ names the benchmark reaches into."""
 from __future__ import annotations
 
 import importlib
+import inspect
 import os
 import sys
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import ifmixup as m
+import ifmixup.graphs
 import ifmixup.mixing
 import ifmixup.recovery
 import ifmixup.training
@@ -31,6 +33,26 @@ def test_all_exports_resolve_once():
     assert len(m.__all__) == len(set(m.__all__))
     missing = [name for name in m.__all__ if not hasattr(m, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", [ifmixup.graphs, ifmixup.recovery], ids=lambda mod: mod.__name__)
+def test_no_public_tolerance_parameter(module):
+    """Rank and decode decisions read the module tolerances (RANK_TOL,
+    DEFAULT_TOL); no public function or method takes its own."""
+    public = []
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            public.append((name, obj))
+        elif inspect.isclass(obj):
+            public += [
+                (f"{name}.{attr}", fn)
+                for attr, fn in vars(obj).items()
+                if inspect.isfunction(fn) and not attr.startswith("_")
+            ]
+    assert len(public) > 5
+    assert [name for name, fn in public if "tol" in inspect.signature(fn).parameters] == []
 
 
 BENCHMARKS = os.path.join(os.path.dirname(PYPROJECT), "benchmarks")

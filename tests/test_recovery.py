@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -91,6 +92,14 @@ class TestEdgeSolutions:
 ONE_HOTS_3 = np.eye(3)
 
 
+def binary_vocabularies():
+    """Every set of 1-4 distinct nonzero binary rows of dimension 1-4 (2,046 sets)."""
+    for d in range(1, 5):
+        rows = [np.array(bits, dtype=float) for bits in itertools.product((0, 1), repeat=d)][1:]
+        for size in range(1, 5):
+            yield from (np.array(c) for c in itertools.combinations(rows, size))
+
+
 class TestRecoverFeaturesIndependent:
     def test_case3_two_sources(self):
         v, vp = m.recover_features_independent(np.array([[0.7, 0.3, 0.0]]), 0.7, ONE_HOTS_3)
@@ -142,6 +151,20 @@ class TestRecoverFeaturesIndependent:
         mixed = np.array([[0.7, 0.3, 0.0], [np.nan, 0.0, 0.0]])
         with pytest.raises(RecoveryError, match=r"non-finite mixed node feature at \(1, 0\)"):
             m.recover_features_independent(mixed, 0.7, ONE_HOTS_3)
+
+    def test_dependent_vocabulary_rejected_exhaustive(self):
+        # the solve's own verdict agrees with the elimination on every set
+        sets = 0
+        for voc in binary_vocabularies():
+            sets += 1
+            independent, _ = m.check_linear_independence(voc)
+            if independent:
+                v, vp = m.recover_features_independent(voc[:1], 0.3, voc)
+                assert np.array_equal(v, voc[:1]) and np.array_equal(vp, voc[:1])
+            else:
+                with pytest.raises(RecoveryError, match="not linearly independent"):
+                    m.recover_features_independent(voc[:1], 0.3, voc)
+        assert sets == 2046
 
 
 def hand_basis() -> m.FeatureBasis:
@@ -199,6 +222,24 @@ class TestRecoverFeaturesBasis:
         fb.t_set = [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])]
         with pytest.raises(RecoveryError, match="independent"):
             m.recover_features_basis(np.array([[0.7, 0.7, 0.3]]), 0.7, fb)
+
+    def test_only_members_that_fit_must_be_independent(self):
+        # padded to two rows the third member equals the first, so the whole
+        # collection is dependent; at one row only the first two fit
+        t_set = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])]
+        fb = m.FeatureBasis(
+            vocabulary=np.eye(2),
+            vocabulary_star=np.vstack([np.eye(2), np.zeros((1, 2))]),
+            rank=2,
+            basis=np.eye(2),
+            coeffs=t_set,
+            t_set=t_set,
+        )
+        assert not fb.t_set_independent() and recovery_mode(fb) != "basis"
+        v, vp = m.recover_features_basis(np.array([[0.3, 0.7]]), 0.3, fb)
+        assert np.allclose(v, [[1, 0]]) and np.allclose(vp, [[0, 1]])
+        with pytest.raises(RecoveryError, match="independent"):
+            m.recover_features_basis(np.array([[0.3, 0.7], [0.0, 0.0]]), 0.3, fb)
 
     def test_different_row_counts_in_t_set(self):
         basis = np.eye(2)
@@ -467,6 +508,27 @@ def dependent_collection_dataset() -> m.GraphDataset:
         2,
         "DEP-T",
     )
+
+
+def zero_feature_dataset(same_edges: bool) -> m.GraphDataset:
+    """Two graphs whose features are all zero: V is empty and V* = {0}."""
+    a = m.NodeFeaturedGraph(np.zeros((3, 2)), sym({(1, 2): 1.0}, 3))
+    b = m.NodeFeaturedGraph(np.zeros((3, 2)), sym({(1, 2) if same_edges else (0, 2): 1.0}, 3))
+    return m.GraphDataset([(g, m.LabelDistribution.one_hot(0, 2)) for g in (a, b)], 2, 2, "ZERO")
+
+
+class TestEmptyVocabulary:
+    @pytest.mark.parametrize("same_edges", [False, True], ids=["different-edges", "same-edges"])
+    def test_zero_rows_decode_uniquely(self, same_edges):
+        ds = zero_feature_dataset(same_edges)
+        (a, _), (b, _) = ds.items
+        basis = m.feature_vocabulary(ds)
+        assert basis.vocabulary.shape == (0, 2) and recovery_mode(basis) == "independent"
+        rec = m.recover_pair(m.mix_pair(a, b, 0.3), basis)
+        assert rec.matches(a, b, 0.3)
+        assert rec.sources_identical == same_edges
+        report = m.intrusion_audit(ds, 20, m.BetaParams(2, 2), np.random.default_rng(0))
+        assert report.ok(), report.first_failure
 
 
 class TestRecoveryMode:
