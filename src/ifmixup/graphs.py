@@ -14,6 +14,8 @@ what makes mixed graphs uniquely decodable; see :mod:`ifmixup.recovery`.
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,10 +142,16 @@ class FeatureBasis:
         return self.rank == len(self.vocabulary)
 
     def t_set_independent(self) -> bool:
-        """Independence of the coefficient collection, zero-padded to a common size."""
+        """Independence of the coefficient collection, zero-padded to a common size.
+
+        More members than padded columns are dependent by their count alone
+        (rank is at most the column count), so no elimination runs then.
+        """
         if not self.t_set:
             return False
         n_max = max(t.shape[0] for t in self.t_set)
+        if len(self.t_set) > n_max * self.rank:
+            return False
         flat = np.stack([_pad_rows(t, n_max).ravel() for t in self.t_set])
         ok, _ = check_linear_independence(flat)
         return ok
@@ -275,35 +283,43 @@ def coefficients_in_basis(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     """Extract V, V*, a basis of SPAN(V), and per-graph coefficient matrices.
 
-    Deduplication is exact bitwise equality on feature rows; the zero row is
-    excluded from V and appended to V*. The basis is the greedy maximal
+    Deduplication is float equality on feature rows, so a row seen with
+    ``-0.0`` and with ``0.0`` is one row, stored with ``0.0``. The zero row
+    is excluded from V and appended to V*. The basis is the greedy maximal
     independent subset of V in lexicographic row order, so the result is
-    deterministic for a given dataset. Raises ValueError naming the graph
-    and the entry when a node feature is not finite.
+    deterministic for a given dataset. The coefficients are solved once
+    for the distinct rows and gathered per graph. Raises ValueError naming
+    the graph and the entry when a node feature is not finite.
     """
     if not ds.items:
         raise ValueError("empty dataset")
-    all_rows = np.concatenate([g.v for g in ds.graphs()], axis=0)
-    if not np.isfinite(all_rows).all():
-        i, g = next((i, g) for i, g in enumerate(ds.graphs()) if not np.isfinite(g.v).all())
+    graphs = ds.graphs()
+    ids: defaultdict[bytes, int] = defaultdict(itertools.count().__next__)  # in order of first sight
+    row_ids: list[int] = []
+    for g in graphs:
+        data, width = (g.v + 0.0).tobytes(), g.v.itemsize * g.d  # -0.0 becomes 0.0
+        row_ids += [ids[data[k * width : (k + 1) * width]] for k in range(g.n)]
+    distinct = np.frombuffer(b"".join(ids), dtype=np.float64).reshape(len(ids), ds.feature_dim)
+    if not np.isfinite(distinct).all():
+        i, g = next((i, g) for i, g in enumerate(graphs) if not np.isfinite(g.v).all())
         at = tuple(int(k) for k in np.argwhere(~np.isfinite(g.v))[0])
         raise ValueError(f"graph {i}: non-finite node feature at {at}: {g.v[at]}")
-    distinct = np.unique(all_rows, axis=0)
-    nonzero = distinct[np.any(distinct != 0.0, axis=1)]
-    vocabulary = nonzero
+    order = np.lexsort(distinct.T[::-1])  # lexicographic, first column most significant
+    distinct = distinct[order]
+    inverse = np.argsort(order)[np.array(row_ids, dtype=np.intp)]
+
+    vocabulary = distinct[np.any(distinct != 0.0, axis=1)]
     vocabulary_star = np.concatenate([vocabulary, np.zeros((1, ds.feature_dim))], axis=0)
 
     basis_idx = independent_row_subset(vocabulary)
     basis = vocabulary[basis_idx]
     rank = len(basis_idx)
 
-    coeffs = []
-    for g in ds.graphs():
-        t = coefficients_in_basis(g.v, basis)
-        recon = np.max(np.abs(t @ basis - g.v))
-        if recon > RANK_TOL:
-            raise ValueError(f"basis reconstruction residual {recon:.3e} exceeds {RANK_TOL}")
-        coeffs.append(t)
+    t_distinct = coefficients_in_basis(distinct, basis)
+    recon = np.max(np.abs(t_distinct @ basis - distinct), initial=0.0)
+    if recon > RANK_TOL:
+        raise ValueError(f"basis reconstruction residual {recon:.3e} exceeds {RANK_TOL}")
+    coeffs = np.split(t_distinct[inverse], np.cumsum([g.n for g in graphs])[:-1])
 
     t_set: list[np.ndarray] = []
     seen: set[bytes] = set()

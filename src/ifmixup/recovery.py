@@ -32,7 +32,9 @@ Either way the nonzero pattern of each coefficient vector must be one of
 coefficients give the ratio when the edges alone leave it open.
 
 ``recover_pair`` chains the two steps and strips trailing dummy rows, which
-exactly inverts the padding applied before mixing.
+inverts the padding applied before mixing. A source's own trailing
+zero-feature isolated nodes are stripped too, since the mix cannot tell them
+from padding, so a decode is correct up to such nodes (``RecoveredPair.matches``).
 """
 
 from __future__ import annotations
@@ -135,9 +137,13 @@ class RecoveredPair:
         """Whether this is the decode of ``mix_pair(ga, gb, lam)``.
 
         Accepts (lam, ga, gb), its mirror (1 - lam, gb, ga), and, when the
-        sources are identical, that one graph with no ratio. Edges must be
-        equal and features within ``DEFAULT_TOL``.
+        sources are identical, that one graph with no ratio. A decode is
+        correct up to trailing dummy nodes: the mix cannot tell a source's
+        own zero-feature isolated tail nodes from padding, so each source is
+        compared after ``strip_dummy_nodes``. Edges must be equal and
+        features within ``DEFAULT_TOL``.
         """
+        ga, gb = strip_dummy_nodes(ga), strip_dummy_nodes(gb)
         decodes = [] if self.lam is None else [(lam, ga, gb), (1.0 - lam, gb, ga)]
         return any(
             abs(self.lam - s) <= DEFAULT_TOL
@@ -433,6 +439,20 @@ class IntrusionAuditReport:
         return "\n".join(lines)
 
 
+def _collision_key(g: NodeFeaturedGraph) -> int:
+    """A hash of ``g`` without its trailing dummy nodes, equal for any two
+    graphs that are equal entry by entry once padded to a common size.
+
+    A trailing node is a dummy when its features, its edge row and its edge
+    column are exactly zero. Adding 0.0 turns -0.0 into 0.0, so graphs that
+    compare equal as floats hash their bytes alike.
+    """
+    v, e, n = g.v, g.e, g.n
+    while n and not (v[n - 1].any() or e[n - 1].any() or e[:, n - 1].any()):
+        n -= 1
+    return hash((n, g.d, (v[:n] + 0.0).tobytes(), (e[:n, :n] + 0.0).tobytes()))
+
+
 def intrusion_audit(
     ds: GraphDataset,
     trials: int,
@@ -442,10 +462,19 @@ def intrusion_audit(
     """Mix random pairs and verify no label-conflicting collision can arise.
 
     Each trial draws a pair and a ratio, then checks (a) the mixed graph is
-    not bit-identical to any training graph carrying a different label, and
-    (b) the decoder returns exactly the source pair. Failures are counted,
-    not raised. The audit is skipped when neither feature-invertibility
-    assumption holds for the dataset.
+    not equal, entry by entry, to any training graph carrying a different
+    label once that graph is padded to the mix's size, and (b) the decoder
+    returns the source pair (up to trailing dummy nodes, see
+    ``RecoveredPair.matches``). Failures are counted, not raised. The audit
+    is skipped when neither feature-invertibility assumption holds for the
+    dataset.
+
+    Collisions come from an exact-verified hash index, built once per call:
+    it maps the hash of each training graph without its trailing dummy
+    nodes to the graphs with that hash, so a trial compares the mix only
+    with the graphs under its own hash. Each such candidate is checked
+    exactly, padded to the mix's size, so a hash clash can neither create
+    nor hide a collision.
     """
     # imported per call, so a rebinding of graphs.feature_vocabulary (a span patch) sees it
     from .graphs import feature_vocabulary, pad_graph
@@ -457,6 +486,9 @@ def intrusion_audit(
 
     report = IntrusionAuditReport(ds.name, trials, mode, assumption_ok=True)
     items = ds.items
+    index: dict[int, list[int]] = {}
+    for i, (g, _) in enumerate(items):
+        index.setdefault(_collision_key(g), []).append(i)
     for trial in range(trials):
         ia, ib = int(rng.integers(len(items))), int(rng.integers(len(items)))
         lam = sample_decodable_lambda(params, rng)
@@ -465,7 +497,8 @@ def intrusion_audit(
         mixed = mix_pair(ga, gb, lam)
         mixed_label = mix_labels(ya, yb, lam)
 
-        for g_train, y_train in items:
+        for i in index.get(_collision_key(mixed), ()):
+            g_train, y_train = items[i]
             if g_train.n > mixed.n:
                 continue
             padded = pad_graph(g_train, mixed.n)

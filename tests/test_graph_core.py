@@ -337,6 +337,163 @@ class TestFeatureVocabulary:
             m.feature_vocabulary(ds)
 
 
+def reference_vocabulary(ds: m.GraphDataset):
+    """The vocabulary by ``np.unique(axis=0)`` and one coefficient solve per
+    graph: the straightforward path that ``feature_vocabulary`` must equal."""
+    graphs = ds.graphs()
+    all_rows = np.concatenate([g.v for g in graphs], axis=0)
+    if not np.isfinite(all_rows).all():
+        i, g = next((i, g) for i, g in enumerate(graphs) if not np.isfinite(g.v).all())
+        at = tuple(int(k) for k in np.argwhere(~np.isfinite(g.v))[0])
+        raise ValueError(f"graph {i}: non-finite node feature at {at}: {g.v[at]}")
+    distinct = np.unique(all_rows, axis=0)
+    vocabulary = distinct[np.any(distinct != 0.0, axis=1)]
+    basis = vocabulary[m.independent_row_subset(vocabulary)]
+    coeffs = [m.coefficients_in_basis(g.v, basis) for g in graphs]
+    t_set, seen = [], set()
+    for t in coeffs:
+        key = t.shape[0].to_bytes(4, "little") + t.tobytes()
+        if key not in seen:
+            seen.add(key)
+            t_set.append(t)
+    return vocabulary, basis, len(basis), coeffs, t_set
+
+
+def vocabulary_set(seed: int, negative_zeros: bool, exact: bool) -> m.GraphDataset:
+    """Graphs whose rows repeat a small pool: duplicate rows, the zero row,
+    often dependent rows, and optionally -0.0 entries.
+
+    ``exact`` pools hold one-hot rows and sums of two, as the benchmark sets
+    do, so every coefficient solve is exact in floating point. The other
+    pools hold general rows, whose coefficients carry rounding error.
+    """
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    size = (int(rng.integers(2, 2 * d + 1)), d)
+    if exact:
+        eye = np.eye(d)
+        second = rng.integers(2, size=(size[0], 1)) * eye[rng.integers(d, size=size[0])]
+        pool = np.minimum(eye[rng.integers(d, size=size[0])] + second, 1.0)
+    else:
+        pool = rng.choice([-1.0, 0.0, 0.0, 0.1, 1.0, 1.0, 2.5], size=size)
+    pool = np.vstack([pool, np.zeros((1, d))])
+    items = []
+    for _ in range(int(rng.integers(1, 8))):
+        n = int(rng.integers(1, 7))
+        v = pool[rng.integers(len(pool), size=n)]
+        if negative_zeros:
+            v[(v == 0.0) & (rng.random(v.shape) < 0.5)] = -0.0
+        items.append((m.NodeFeaturedGraph(v, np.zeros((n, n))), m.LabelDistribution.one_hot(0, 1)))
+    return m.GraphDataset(items, 1, d, f"VOCAB-{seed}")
+
+
+class TestFeatureVocabularyAgainstReference:
+    @staticmethod
+    def same_bits(new: np.ndarray, ref: np.ndarray, negative_zeros: bool) -> bool:
+        if negative_zeros:  # the one intended difference: which sign a zero keeps
+            new, ref = new + 0.0, ref + 0.0
+        return new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negative-zeros"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equal_bit_for_bit(self, seed, negative_zeros):
+        ds = vocabulary_set(seed, negative_zeros, exact=True)
+        vocabulary, basis, rank, coeffs, t_set = reference_vocabulary(ds)
+        fb = m.feature_vocabulary(ds)
+        assert fb.rank == rank
+        assert self.same_bits(fb.vocabulary, vocabulary, negative_zeros)
+        assert self.same_bits(fb.basis, basis, negative_zeros)
+        assert len(fb.coeffs) == len(coeffs) and len(fb.t_set) == len(t_set)
+        for new, ref in zip(fb.coeffs + fb.t_set, coeffs + t_set):
+            assert self.same_bits(new, ref, negative_zeros)
+        # -0.0 and 0.0 are one row, stored as 0.0
+        assert not np.signbit(fb.vocabulary_star[fb.vocabulary_star == 0.0]).any()
+
+    @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negative-zeros"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_general_rows(self, seed, negative_zeros):
+        """V, basis and rank stay bit for bit. The coefficients agree to
+        rounding only: the per-graph reference gives one row last bits that
+        depend on its graph's node count, which one solve cannot reproduce."""
+        ds = vocabulary_set(seed, negative_zeros, exact=False)
+        vocabulary, basis, rank, coeffs, t_set = reference_vocabulary(ds)
+        fb = m.feature_vocabulary(ds)
+        assert fb.rank == rank
+        assert self.same_bits(fb.vocabulary, vocabulary, negative_zeros)
+        assert self.same_bits(fb.basis, basis, negative_zeros)
+        assert len(fb.coeffs) == len(coeffs) and len(fb.t_set) == len(t_set)
+        for new, ref in zip(fb.coeffs + fb.t_set, coeffs + t_set):
+            assert new.shape == ref.shape and np.max(np.abs(new - ref), initial=0.0) <= 1e-12
+        # one coefficient row per distinct feature row, whatever graph it is in
+        by_row: dict[bytes, bytes] = {}
+        for g, t in zip(ds.graphs(), fb.coeffs):
+            for row, c in zip(g.v + 0.0, t):
+                assert by_row.setdefault(row.tobytes(), c.tobytes()) == c.tobytes()
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "general"])
+    def test_sets_cover_the_cases(self, exact):
+        """The seeded sets hold duplicate rows, zero rows, -0.0 entries and
+        both independent and dependent vocabularies."""
+        dependent, duplicates, zeros, negative = set(), False, False, False
+        for seed in range(40):
+            ds = vocabulary_set(seed, True, exact)
+            rows = np.concatenate([g.v for g in ds.graphs()])
+            dependent.add(not m.feature_vocabulary(ds).vocabulary_independent())
+            duplicates |= len(np.unique(rows, axis=0)) < len(rows)
+            zeros |= bool((~rows.any(axis=1)).any())
+            negative |= bool(np.signbit(rows[rows == 0.0]).any())
+        assert dependent == {True, False} and duplicates and zeros and negative
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_finite_message_unchanged(self, seed, bad):
+        ds = vocabulary_set(seed, negative_zeros=True, exact=False)
+        rng = np.random.default_rng(seed)
+        g = ds.items[int(rng.integers(len(ds)))][0]
+        g.v[int(rng.integers(g.n)), int(rng.integers(g.d))] = bad
+        with pytest.raises(ValueError) as ref:
+            reference_vocabulary(ds)
+        with pytest.raises(ValueError) as new:
+            m.feature_vocabulary(ds)
+        assert str(new.value) == str(ref.value)
+        assert "non-finite node feature" in str(new.value)
+
+
+class TestTSetIndependent:
+    def test_more_members_than_columns_skips_elimination(self, monkeypatch):
+        # three one-node graphs over a rank-1 basis: 3 members, 1 padded column
+        graphs = [m.NodeFeaturedGraph(np.array([[x, 0.0]]), np.zeros((1, 1))) for x in (1.0, 2.0, 3.0)]
+        items = [(g, m.LabelDistribution.one_hot(0, 1)) for g in graphs]
+        fb = m.feature_vocabulary(m.GraphDataset(items, 1, 2, "WIDE"))
+        assert len(fb.t_set) == 3 and fb.rank == 1
+
+        def forbidden(rows):
+            raise AssertionError("elimination ran")
+
+        monkeypatch.setattr(m.graphs, "_row_reduce_rank", forbidden)
+        assert fb.t_set_independent() is False
+
+    def test_agrees_with_elimination(self):
+        seen = set()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            rank = int(rng.integers(1, 3))
+            t_set = [
+                rng.integers(0, 2, size=(int(rng.integers(1, 3)), rank)).astype(float)
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            basis = np.eye(rank)
+            star = np.vstack([basis, np.zeros((1, rank))])
+            fb = m.FeatureBasis(basis, star, rank, basis, t_set, t_set)
+            n_max = max(t.shape[0] for t in t_set)
+            flat = np.stack([np.vstack([t, np.zeros((n_max - len(t), rank))]).ravel() for t in t_set])
+            verdict = fb.t_set_independent()
+            assert verdict == m.check_linear_independence(flat)[0]
+            seen.add((len(t_set) > flat.shape[1], verdict))
+        # both verdicts by elimination, and the count shortcut
+        assert seen == {(False, True), (False, False), (True, False)}
+
+
 class TestDatasetStats:
     def test_single_edge_graph(self):
         ds = m.GraphDataset([(g2(), m.LabelDistribution.one_hot(0, 1))], 1, 2, "S")

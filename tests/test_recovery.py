@@ -604,3 +604,158 @@ class TestIntrusionAudit:
         r1 = m.intrusion_audit(ds, 30, m.BetaParams(2, 2), np.random.default_rng(3))
         r2 = m.intrusion_audit(ds, 30, m.BetaParams(2, 2), np.random.default_rng(3))
         assert r1.to_text() == r2.to_text()
+
+
+def scan_audit(ds: m.GraphDataset, trials: int, params: m.BetaParams, rng: np.random.Generator):
+    """``intrusion_audit`` with the collision check as a scan over every
+    training graph, padded to the mix's size: the oracle for the index."""
+    basis = m.feature_vocabulary(ds)
+    mode = recovery_mode(basis)
+    report = m.IntrusionAuditReport(ds.name, trials, mode, assumption_ok=mode is not None)
+    if mode is None:
+        return report
+    items = ds.items
+    for trial in range(trials):
+        ia, ib = int(rng.integers(len(items))), int(rng.integers(len(items)))
+        lam = sample_decodable_lambda(params, rng)
+        (ga, ya), (gb, yb) = items[ia], items[ib]
+        mixed, mixed_label = m.mix_pair(ga, gb, lam), m.mix_labels(ya, yb, lam)
+        for g_train, y_train in items:
+            if g_train.n > mixed.n:
+                continue
+            padded = m.pad_graph(g_train, mixed.n)
+            if np.array_equal(padded.e, mixed.e) and np.array_equal(padded.v, mixed.v):
+                if not np.array_equal(y_train.p, mixed_label.p):
+                    report.collisions += 1
+                    if report.first_failure is None:
+                        report.first_failure = (
+                            f"trial {trial}: mix({ia}, {ib}, lam={lam}) collides with a "
+                            f"training graph of a different label"
+                        )
+                    break
+        try:
+            rec = m.recover_pair(mixed, basis, mode)
+        except RecoveryError as exc:
+            report.recovery_failures += 1
+            if report.first_failure is None:
+                report.first_failure = f"trial {trial}: pair ({ia}, {ib}), lam={lam}: {exc}"
+            continue
+        if not rec.matches(ga, gb, lam):
+            report.recovery_failures += 1
+            if report.first_failure is None:
+                report.first_failure = (
+                    f"trial {trial}: pair ({ia}, {ib}), lam={lam}: recovered pair differs"
+                )
+    return report
+
+
+def with_dummies(g: m.NodeFeaturedGraph, k: int) -> m.NodeFeaturedGraph:
+    return m.pad_graph(g, g.n + k)
+
+
+def negative_zeros(g: m.NodeFeaturedGraph) -> m.NodeFeaturedGraph:
+    """The same graph with every zero feature and weight stored as -0.0."""
+    return m.NodeFeaturedGraph(np.where(g.v == 0.0, -0.0, g.v), np.where(g.e == 0.0, -0.0, g.e))
+
+
+def planted_collision_set(seed: int) -> m.GraphDataset:
+    """Few distinct graphs, each planted again: with trailing zero-feature
+    isolated nodes under another label, as a same-label duplicate, and with
+    -0.0 for its zeros under another label."""
+    rng = np.random.default_rng(seed)
+    base = [rand_one_hot_graph(rng, int(rng.integers(2, 6)), 4) for _ in range(4)]
+    y = [m.LabelDistribution.one_hot(k, 2) for k in (0, 1)]
+    items = []
+    for k, g in enumerate(base):
+        items.append((g, y[k % 2]))
+        items.append((with_dummies(g, int(rng.integers(1, 3))), y[1 - k % 2]))
+        items.append((g, y[k % 2]))
+        items.append((negative_zeros(g), y[1 - k % 2]))
+    order = rng.permutation(len(items))
+    return m.GraphDataset([items[i] for i in order], 2, 4, f"PLANTED-{seed}")
+
+
+def report_fields(r: m.IntrusionAuditReport) -> tuple:
+    return r.mode, r.assumption_ok, r.collisions, r.recovery_failures, r.first_failure
+
+
+class TestCollisionIndex:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scan_on_planted_collisions(self, seed):
+        ds, params = planted_collision_set(seed), m.BetaParams(2, 2)
+        oracle = scan_audit(ds, 200, params, np.random.default_rng(seed))
+        report = m.intrusion_audit(ds, 200, params, np.random.default_rng(seed))
+        assert oracle.collisions > 0
+        assert report_fields(report) == report_fields(oracle)
+
+    def test_same_label_duplicates_not_counted(self):
+        g = rand_one_hot_graph(np.random.default_rng(30), 4, 3)
+        y = m.LabelDistribution.one_hot(0, 2)
+        ds = m.GraphDataset([(g, y), (g, y), (with_dummies(g, 2), y)], 2, 3, "SAME")
+        oracle = scan_audit(ds, 100, m.BetaParams(2, 2), np.random.default_rng(0))
+        report = m.intrusion_audit(ds, 100, m.BetaParams(2, 2), np.random.default_rng(0))
+        assert report_fields(report) == report_fields(oracle)
+        assert report.collisions == 0 and report.ok()  # every mix equals each graph, padded
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scan_without_collisions(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        items = [
+            (rand_one_hot_graph(rng, int(rng.integers(2, 8)), 5), m.LabelDistribution.one_hot(i % 3, 3))
+            for i in range(30)
+        ]
+        ds = m.GraphDataset(items, 3, 5, "CLEAN")
+        oracle = scan_audit(ds, 100, m.BetaParams(1, 1), np.random.default_rng(seed))
+        report = m.intrusion_audit(ds, 100, m.BetaParams(1, 1), np.random.default_rng(seed))
+        assert report_fields(report) == report_fields(oracle)
+
+    def test_basis_mode_matches_scan(self):
+        ds = dependent_vocabulary_dataset()
+        oracle = scan_audit(ds, 60, m.BetaParams(2, 2), np.random.default_rng(4))
+        report = m.intrusion_audit(ds, 60, m.BetaParams(2, 2), np.random.default_rng(4))
+        assert report.mode == "basis" and report_fields(report) == report_fields(oracle)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hash_clash_creates_no_collision(self, seed, monkeypatch):
+        """Every graph under one key: the exact check alone decides."""
+        ds = planted_collision_set(seed)
+        oracle = scan_audit(ds, 100, m.BetaParams(2, 2), np.random.default_rng(seed))
+        monkeypatch.setattr(ifmixup.recovery, "_collision_key", lambda g: 0)
+        report = m.intrusion_audit(ds, 100, m.BetaParams(2, 2), np.random.default_rng(seed))
+        assert report_fields(report) == report_fields(oracle)
+
+    def test_key_ignores_padding_and_zero_sign(self):
+        key = ifmixup.recovery._collision_key
+        g = rand_one_hot_graph(np.random.default_rng(31), 5, 3)
+        assert key(g) == key(with_dummies(g, 3)) == key(negative_zeros(g))
+        # an isolated zero-feature node before a live one is not trailing
+        h = m.permute_nodes(with_dummies(g, 1), np.array([5, 0, 1, 2, 3, 4]))
+        assert key(h) != key(g)
+
+
+class TestSourceTailDummies:
+    """A source whose last node has zero features and no edges decodes
+    without that node, which the mix cannot tell from padding."""
+
+    @staticmethod
+    def tailed() -> m.NodeFeaturedGraph:
+        return m.NodeFeaturedGraph(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), sym({(0, 1): 1.0}, 3))
+
+    def test_decode_matches_up_to_tail(self):
+        a = self.tailed()
+        b = m.NodeFeaturedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)))
+        ds = m.GraphDataset([(x, m.LabelDistribution.one_hot(k, 2)) for k, x in enumerate((a, b))], 2, 2)
+        rec = m.recover_pair(m.mix_pair(a, b, 0.3), m.feature_vocabulary(ds))
+        assert rec.graph_a.n == 2 and rec.matches(a, b, 0.3) and rec.matches(b, a, 0.7)
+        report = m.intrusion_audit(ds, 50, m.BetaParams(2, 2), np.random.default_rng(0))
+        assert report.recovery_failures == 0 and report.ok(), report.first_failure
+
+    def test_stripped_twin_under_other_label_collides(self):
+        a = self.tailed()
+        twin = m.strip_dummy_nodes(a)
+        assert twin.n == 2
+        ds = m.GraphDataset([(x, m.LabelDistribution.one_hot(k, 2)) for k, x in enumerate((a, twin))], 2, 2)
+        report = m.intrusion_audit(ds, 50, m.BetaParams(2, 2), np.random.default_rng(0))
+        oracle = scan_audit(ds, 50, m.BetaParams(2, 2), np.random.default_rng(0))
+        assert report.collisions > 0 and report.recovery_failures == 0
+        assert report_fields(report) == report_fields(oracle)
