@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Pivot tolerance for rank decisions and basis reconstruction, and the
-# singular-value floor of recovery's coefficient solve. Benchmark feature
-# sets are one-hot dominated, so double precision is effectively exact at
-# this threshold.
+# Singular-value floor of every rank decision (``_numerical_rank``) and the
+# tolerance of basis reconstruction. Benchmark feature sets are one-hot
+# dominated, so double precision is effectively exact at this threshold.
 RANK_TOL = 1e-9
 
 LABEL_SUM_TOL = 1e-9
@@ -145,7 +144,7 @@ class FeatureBasis:
         """Independence of the coefficient collection, zero-padded to a common size.
 
         More members than padded columns are dependent by their count alone
-        (rank is at most the column count), so no elimination runs then.
+        (rank is at most the column count), so no rank is computed then.
         """
         if not self.t_set:
             return False
@@ -233,25 +232,9 @@ def _pad_rows(t: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _row_reduce_rank(rows: np.ndarray) -> tuple[int, list[int]]:
-    """Rank by Gaussian elimination with partial pivoting, plus the pivot
-    columns in order; pivots below RANK_TOL are zero."""
-    m = np.array(rows, dtype=np.float64)
-    n_rows, n_cols = m.shape
-    pivots: list[int] = []
-    for col in range(n_cols):
-        rank = len(pivots)
-        if rank == n_rows:
-            break
-        pivot = rank + int(np.argmax(np.abs(m[rank:, col])))
-        if abs(m[pivot, col]) <= RANK_TOL:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] = m[rank] / m[rank, col]
-        below = np.arange(n_rows) != rank
-        m[below] -= np.outer(m[below, col], m[rank])
-        pivots.append(col)
-    return len(pivots), pivots
+def _numerical_rank(singular: np.ndarray) -> int:
+    """The number of singular values above RANK_TOL: the package's one rank test."""
+    return int(np.count_nonzero(singular > RANK_TOL))
 
 
 def check_linear_independence(rows: np.ndarray | list[np.ndarray]) -> tuple[bool, int]:
@@ -259,18 +242,19 @@ def check_linear_independence(rows: np.ndarray | list[np.ndarray]) -> tuple[bool
     m = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if m.size == 0:
         raise ValueError("empty vector set")
-    rank, _ = _row_reduce_rank(m)
+    rank = _numerical_rank(np.linalg.svd(m, compute_uv=False))
     return rank == m.shape[0], rank
 
 
 def independent_row_subset(rows: np.ndarray) -> list[int]:
-    """Indices of a maximal independent subset of rows, greedy in row order.
-
-    These are the pivot columns of the elimination run on the rows as
-    columns: row i is a pivot exactly when it leaves the span of rows 0..i-1.
-    """
-    _, pivots = _row_reduce_rank(np.asarray(rows, dtype=np.float64).T)
-    return pivots
+    """Indices of a maximal independent subset of rows, greedy in row order:
+    row i is kept exactly when it raises the rank of the rows kept before it."""
+    rows = np.asarray(rows, dtype=np.float64)
+    kept: list[int] = []
+    for i in range(len(rows)):
+        if _numerical_rank(np.linalg.svd(rows[kept + [i]], compute_uv=False)) > len(kept):
+            kept.append(i)
+    return kept
 
 
 def coefficients_in_basis(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -289,7 +273,9 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     independent subset of V in lexicographic row order, so the result is
     deterministic for a given dataset. The coefficients are solved once
     for the distinct rows and gathered per graph. Raises ValueError naming
-    the graph and the entry when a node feature is not finite.
+    the graph and the entry when a node feature is not finite, and naming
+    the basis rank when the basis passes the rank test but its Gram matrix
+    is singular in floating point.
     """
     if not ds.items:
         raise ValueError("empty dataset")
@@ -315,17 +301,21 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     basis = vocabulary[basis_idx]
     rank = len(basis_idx)
 
-    t_distinct = coefficients_in_basis(distinct, basis)
+    try:
+        t_distinct = coefficients_in_basis(distinct, basis)
+    except np.linalg.LinAlgError as exc:  # independent within RANK_TOL, singular Gram matrix
+        raise ValueError(f"feature basis of rank {rank} has a singular Gram matrix: {exc}") from exc
     recon = np.max(np.abs(t_distinct @ basis - distinct), initial=0.0)
     if recon > RANK_TOL:
         raise ValueError(f"basis reconstruction residual {recon:.3e} exceeds {RANK_TOL}")
-    coeffs = np.split(t_distinct[inverse], np.cumsum([g.n for g in graphs])[:-1])
+    sizes = np.cumsum([g.n for g in graphs])[:-1]
+    coeffs = np.split(t_distinct[inverse], sizes)
 
-    t_set: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    for t in coeffs:
-        key = t.shape[0].to_bytes(4, "little") + t.tobytes()
-        if key not in seen:
-            seen.add(key)
-            t_set.append(t)
-    return FeatureBasis(vocabulary, vocabulary_star, rank, basis, coeffs, t_set)
+    # Two graphs' T are byte-equal exactly when their nodes' coefficient
+    # rows are, so each graph is keyed on the class ids of those rows.
+    t_rows: defaultdict[bytes, int] = defaultdict(itertools.count().__next__)
+    row_class = np.array([t_rows[t.tobytes()] for t in t_distinct], dtype=np.intp)
+    first: dict[bytes, np.ndarray] = {}
+    for t, key in zip(coeffs, np.split(row_class[inverse], sizes)):
+        first.setdefault(key.tobytes(), t)
+    return FeatureBasis(vocabulary, vocabulary_star, rank, basis, coeffs, list(first.values()))

@@ -21,8 +21,8 @@ vocabulary V is finite. Two constructive modes are implemented:
   coefficient vector over the members that fit its size.
 
 Each solve is one least-squares call on the rows themselves whose singular
-values also prove the rows independent, so no decode runs a separate
-elimination.
+values also prove the rows independent, by the same singular-value rank test
+as ``check_linear_independence``, so no decode runs a separate rank check.
 
 ``recovery_mode`` says which of the two a dataset admits, if either.
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import RANK_TOL, FeatureBasis, GraphDataset, NodeFeaturedGraph, _pad_rows
+from .graphs import FeatureBasis, GraphDataset, NodeFeaturedGraph, _numerical_rank, _pad_rows
 from .mixing import BetaParams, mix_labels, mix_pair, sample_lambda
 
 DEFAULT_TOL = 1e-9
@@ -267,12 +267,13 @@ def _unique_coefficients(
 
     One least-squares solve on ``rows`` itself (not on its Gram matrix,
     which squares the condition number). The rows are independent exactly
-    when there are no more of them than columns and no singular value is at
-    most RANK_TOL; an empty set is independent. Raises RecoveryError naming
-    ``what`` when they are not, and ``misfit`` when target leaves their span.
+    when their numerical rank equals their count; lstsq returns at most one
+    singular value per column, so more rows than columns always fall short,
+    and an empty set is independent. Raises RecoveryError naming ``what``
+    when they are not, and ``misfit`` when target leaves their span.
     """
     x, _, _, singular = np.linalg.lstsq(rows.T, target.T, rcond=None)
-    if rows.shape[0] > rows.shape[1] or np.min(singular, initial=np.inf) <= RANK_TOL:
+    if _numerical_rank(singular) < rows.shape[0]:
         raise RecoveryError(f"{what} is not linearly independent")
     coeff = x.T
     residual = np.max(np.abs(coeff @ rows - target), initial=0.0)

@@ -210,6 +210,13 @@ class TestLinearIndependence:
             exact = self._exact_rank(subset)
             assert rank == exact and ok == (exact == size)
 
+    def test_near_singular_pair_is_dependent(self):
+        # the rows differ by 1.2e-9, yet the smallest singular value, 8.5e-10,
+        # is under RANK_TOL
+        v = np.array([[1.0, 0.0], [1.0, 1.2e-9]])
+        assert m.check_linear_independence(v) == (False, 1)
+        assert m.independent_row_subset(v) == [0]
+
     def test_independent_row_subset_greedy(self):
         rows = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         assert m.independent_row_subset(rows) == [0, 2]
@@ -311,6 +318,37 @@ class TestFeatureVocabulary:
         )
         fb = m.feature_vocabulary(ds)
         assert len(fb.coeffs) == 2 and len(fb.t_set) == 1
+
+    def test_t_set_deduplicates_distinct_rows_with_equal_coefficients(self):
+        # [1, 1e-17] is its own feature row, but its coefficient over the
+        # basis [[1, 0]] is the same 1.0 as that of [1, 0]
+        graphs = [m.NodeFeaturedGraph(np.array([[1.0, x]]), np.zeros((1, 1))) for x in (0.0, 1e-17)]
+        items = [(g, m.LabelDistribution.one_hot(i, 2)) for i, g in enumerate(graphs)]
+        fb = m.feature_vocabulary(m.GraphDataset(items, 2, 2, "EQ"))
+        assert len(fb.vocabulary) == 2 and fb.rank == 1
+        assert np.array_equal(fb.coeffs[0], fb.coeffs[1])
+        assert len(fb.t_set) == 1
+
+    @staticmethod
+    def _one_graph_set(rows: list[list[float]]) -> m.GraphDataset:
+        n = len(rows)
+        g = m.NodeFeaturedGraph(np.array(rows), np.zeros((n, n)))
+        return m.GraphDataset([(g, m.LabelDistribution.one_hot(0, 1))], 1, 2, "NEAR")
+
+    def test_singular_gram_matrix_named(self):
+        # independent within RANK_TOL (smallest singular value 1.4e-9), but
+        # the Gram matrix [[1, 1], [1, 1 + 4e-18]] rounds to singular
+        ds = self._one_graph_set([[1.0, 0.0], [1.0, 2e-9]])
+        with pytest.raises(ValueError, match=r"feature basis of rank 2 has a singular Gram matrix") as exc:
+            m.feature_vocabulary(ds)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+    def test_near_singular_vocabulary_named(self):
+        # rank 1 by singular values, so [1, 1.2e-9] is left off the basis
+        ds = self._one_graph_set([[1.0, 0.0], [1.0, 1.2e-9]])
+        with pytest.raises(ValueError, match=r"basis reconstruction residual 1\.200e-09") as exc:
+            m.feature_vocabulary(ds)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
 
     def test_t_set_independence_check(self):
         a = m.NodeFeaturedGraph(np.array([[1.0, 0.0]]), np.zeros((1, 1)))
@@ -460,20 +498,20 @@ class TestFeatureVocabularyAgainstReference:
 
 
 class TestTSetIndependent:
-    def test_more_members_than_columns_skips_elimination(self, monkeypatch):
+    def test_more_members_than_columns_computes_no_rank(self, monkeypatch):
         # three one-node graphs over a rank-1 basis: 3 members, 1 padded column
         graphs = [m.NodeFeaturedGraph(np.array([[x, 0.0]]), np.zeros((1, 1))) for x in (1.0, 2.0, 3.0)]
         items = [(g, m.LabelDistribution.one_hot(0, 1)) for g in graphs]
         fb = m.feature_vocabulary(m.GraphDataset(items, 1, 2, "WIDE"))
         assert len(fb.t_set) == 3 and fb.rank == 1
 
-        def forbidden(rows):
-            raise AssertionError("elimination ran")
+        def forbidden(singular):
+            raise AssertionError("rank computed")
 
-        monkeypatch.setattr(m.graphs, "_row_reduce_rank", forbidden)
+        monkeypatch.setattr(m.graphs, "_numerical_rank", forbidden)
         assert fb.t_set_independent() is False
 
-    def test_agrees_with_elimination(self):
+    def test_agrees_with_check_linear_independence(self):
         seen = set()
         for seed in range(200):
             rng = np.random.default_rng(seed)
@@ -490,7 +528,7 @@ class TestTSetIndependent:
             verdict = fb.t_set_independent()
             assert verdict == m.check_linear_independence(flat)[0]
             seen.add((len(t_set) > flat.shape[1], verdict))
-        # both verdicts by elimination, and the count shortcut
+        # both verdicts by rank, and the count shortcut
         assert seen == {(False, True), (False, False), (True, False)}
 
 

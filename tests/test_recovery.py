@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ifmixup as m
 import ifmixup.recovery
@@ -153,7 +155,7 @@ class TestRecoverFeaturesIndependent:
             m.recover_features_independent(mixed, 0.7, ONE_HOTS_3)
 
     def test_dependent_vocabulary_rejected_exhaustive(self):
-        # the solve's own verdict agrees with the elimination on every set
+        # the solve's own verdict agrees with check_linear_independence on every set
         sets = 0
         for voc in binary_vocabularies():
             sets += 1
@@ -165,6 +167,34 @@ class TestRecoverFeaturesIndependent:
                 with pytest.raises(RecoveryError, match="not linearly independent"):
                     m.recover_features_independent(voc[:1], 0.3, voc)
         assert sets == 2046
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(k=st.integers(2, 4), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_verdict_matches_decoder_near_singular(self, k, extra, seed):
+        """check_linear_independence accepts V exactly when the decoder's own
+        solve does, on vocabularies whose smallest singular value straddles
+        RANK_TOL."""
+        v = near_singular_vocabulary(k, k + extra, np.random.default_rng(seed))
+        try:
+            m.recover_features_independent(v[:1], 0.3, v)
+            decodes = True
+        except RecoveryError as exc:  # a near-singular V may also misread row 0
+            decodes = "not linearly independent" not in str(exc)
+        assert m.check_linear_independence(v)[0] == decodes
+
+
+def near_singular_vocabulary(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """V = (u * s) @ w[:k] with orthonormal u (k x k) and w (d x d): k rows
+    whose smallest singular value is log-uniform in [1e-9.5, 1e-8.5].
+
+    That value comes from ``rng``, not from a Hypothesis float, which favours
+    round values such as 1e-9 itself: at exactly RANK_TOL the singular values
+    of ``np.linalg.svd`` and ``np.linalg.lstsq`` fall on either side of it.
+    """
+    u = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    w = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    s = np.append(rng.uniform(0.5, 2.0, k - 1), 10.0 ** rng.uniform(-9.5, -8.5))
+    return (u * s) @ w[:k]
 
 
 def hand_basis() -> m.FeatureBasis:
@@ -542,6 +572,16 @@ class TestRecoveryMode:
 
     def test_none(self):
         assert recovery_mode(m.feature_vocabulary(dependent_collection_dataset())) is None
+
+    def test_near_singular_vocabulary_not_independent(self):
+        # smallest singular value 8.5e-10: the decoders reject this V, so
+        # recovery_mode must not offer them
+        v = np.array([[1.0, 0.0], [1.0, 1.2e-9]])
+        idx = m.independent_row_subset(v)
+        fb = m.FeatureBasis(v, np.vstack([v, np.zeros((1, 2))]), len(idx), v[idx], [], [])
+        assert recovery_mode(fb) != "independent"
+        with pytest.raises(RecoveryError, match="not linearly independent"):
+            m.recover_features_independent(v[:1], 0.3, v)
 
 
 class TestDecodableLambda:
