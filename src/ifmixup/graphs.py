@@ -237,12 +237,18 @@ def _numerical_rank(singular: np.ndarray) -> int:
     return int(np.count_nonzero(singular > RANK_TOL))
 
 
+def _rank_of_rows(m: np.ndarray) -> int:
+    """Rank of the rows of ``m`` by the decoders' own solver (``lstsq`` on
+    ``m.T``), so that a verdict here and a decode agree even at RANK_TOL."""
+    return _numerical_rank(np.linalg.lstsq(m.T, np.zeros((m.shape[1], 0)), rcond=None)[3])
+
+
 def check_linear_independence(rows: np.ndarray | list[np.ndarray]) -> tuple[bool, int]:
     """Whether the given vectors are linearly independent, plus their rank."""
     m = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if m.size == 0:
         raise ValueError("empty vector set")
-    rank = _numerical_rank(np.linalg.svd(m, compute_uv=False))
+    rank = _rank_of_rows(m)
     return rank == m.shape[0], rank
 
 
@@ -252,7 +258,7 @@ def independent_row_subset(rows: np.ndarray) -> list[int]:
     rows = np.asarray(rows, dtype=np.float64)
     kept: list[int] = []
     for i in range(len(rows)):
-        if _numerical_rank(np.linalg.svd(rows[kept + [i]], compute_uv=False)) > len(kept):
+        if _rank_of_rows(rows[kept + [i]]) > len(kept):
             kept.append(i)
     return kept
 

@@ -8,6 +8,11 @@ dataset name):
     NAME_graph_labels.txt     one class label per graph
     NAME_node_labels.txt      optional: one integer label per node
 
+Each nonempty line holds tokens separated by commas or whitespace: signed
+ASCII decimal int64 integers (float64 numbers in the weighted-graph files),
+with no comment lines. Every ParseError names the file, and the line where
+there is one.
+
 Parsing produces symmetric binary adjacency matrices (the usual duplicated
 directed pairs collapse; a single direction also yields the edge) and
 contiguous class indices. Node labels stay integers until
@@ -73,11 +78,6 @@ class TUDatasetFiles:
     def has_node_labels(self) -> bool:
         return os.path.exists(self.node_labels_path)
 
-    def require(self) -> None:
-        for p in (self.a_path, self.indicator_path, self.graph_labels_path):
-            if not os.path.exists(p):
-                raise ParseError(f"missing required file: {p}")
-
 
 @dataclass(eq=False)
 class ParsedGraph:
@@ -108,24 +108,57 @@ class ParsedDataset:
         return all(g.node_labels is not None for g in self.graphs)
 
 
-def _read_rows(path: str, n_cols: int) -> list[tuple[int, list[int]]]:
-    """(line number, integer tokens) per nonempty line; commas or spaces."""
+def _read_rows(
+    path: str, n_cols: int | None, dtype: type = np.int64
+) -> tuple[np.ndarray, list[int]]:
+    """The ``(rows, n_cols)`` values of a numeric text file, one row per
+    nonempty line, and each row's line number; ``n_cols=None`` takes the
+    first row's width. One ``np.loadtxt`` call reads every row; only if it
+    fails, or the width is wrong, does the same call check the rows one at a
+    time to name the first bad line."""
     name = os.path.basename(path)
-    rows: list[tuple[int, list[int]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != n_cols:
-                raise ParseError(f"{name} line {ln}: expected {n_cols} values, got {len(parts)}")
-            try:
-                vals = [int(p) for p in parts]
-            except ValueError:
-                raise ParseError(f"{name} line {ln}: non-integer token in {line!r}") from None
-            rows.append((ln, vals))
-    return rows
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ParseError(f"missing required file: {path}") from None
+    lines = text.replace(",", " ").split("\n")
+    numbers = [ln for ln, line in enumerate(lines, start=1) if line.strip()]
+    rows = [lines[ln - 1] for ln in numbers]
+    if not rows:
+        return np.zeros((0, n_cols or 0), dtype=dtype), []
+    n_cols = n_cols or len(rows[0].split())
+
+    def parse(block: list[str]) -> np.ndarray:
+        return np.loadtxt(block, dtype=dtype, comments=None, ndmin=2)
+
+    try:
+        values = parse(rows)
+        if values.shape[1] == n_cols:
+            return values, numbers
+    except ValueError:
+        pass
+    kind = "non-integer" if np.issubdtype(dtype, np.integer) else "non-numeric"
+    for ln, row in zip(numbers, rows):
+        got = len(row.split())
+        if got != n_cols:
+            raise ParseError(f"{name} line {ln}: expected {n_cols} values, got {got}")
+        try:
+            parse([row])
+        except ValueError:
+            line = text.split("\n")[ln - 1].strip()
+            raise ParseError(
+                f"{name} line {ln}: {kind} token in {line!r}, expected {np.dtype(dtype).name}"
+            ) from None
+    raise ParseError(f"{name}: unreadable numeric text")
+
+
+def _read_labels(path: str, count: int, owners: str) -> np.ndarray:
+    """The one integer label on each nonempty line; there must be ``count``."""
+    labels = _read_rows(path, 1)[0][:, 0]
+    if labels.size != count:
+        raise ParseError(f"{os.path.basename(path)}: {labels.size} labels for {count} {owners}")
+    return labels
 
 
 def parse_tudataset(files: TUDatasetFiles) -> ParsedDataset:
@@ -135,72 +168,54 @@ def parse_tudataset(files: TUDatasetFiles) -> ParsedDataset:
     collapse into one undirected edge; graph labels map to contiguous class
     indices in sorted order of their original values.
     """
-    files.require()
-
-    indicator = _read_rows(files.indicator_path, 1)
-    node_graph = np.array([v[0] for _, v in indicator], dtype=np.int64)
-    n_nodes = node_graph.size
+    ind_name = os.path.basename(files.indicator_path)
+    node_graph = _read_rows(files.indicator_path, 1)[0][:, 0]
+    graph_ids, sizes = np.unique(node_graph, return_counts=True)
+    n_nodes, n_graphs = node_graph.size, graph_ids.size
     if n_nodes == 0:
-        raise ParseError(f"{os.path.basename(files.indicator_path)}: no nodes listed")
-    n_graphs = int(node_graph.max())
-    if node_graph.min() < 1 or set(node_graph.tolist()) != set(range(1, n_graphs + 1)):
-        raise ParseError(
-            f"{os.path.basename(files.indicator_path)}: graph ids must be consecutive from 1"
-        )
+        raise ParseError(f"{ind_name}: no nodes listed")
+    if graph_ids[0] != 1 or graph_ids[-1] != n_graphs:
+        raise ParseError(f"{ind_name}: graph ids must be consecutive from 1")
 
     # Local (within-graph) index of each node, preserving file order.
-    local = np.zeros(n_nodes, dtype=np.int64)
-    sizes = np.zeros(n_graphs, dtype=np.int64)
-    for node, gid in enumerate(node_graph):
-        local[node] = sizes[gid - 1]
-        sizes[gid - 1] += 1
+    order = np.argsort(node_graph, kind="stable")
+    local = np.empty(n_nodes, dtype=np.int64)
+    local[order] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    mats = [np.zeros((int(s), int(s))) for s in sizes]
-    a_name = os.path.basename(files.a_path)
-    for ln, (i, j) in _read_rows(files.a_path, 2):
-        if not (1 <= i <= n_nodes and 1 <= j <= n_nodes):
-            raise ParseError(
-                f"{a_name} line {ln}: node id out of range 1..{n_nodes}: ({i}, {j})"
-            )
-        gi, gj = node_graph[i - 1], node_graph[j - 1]
+    edges, edge_lines = _read_rows(files.a_path, 2)
+    out_of_range = ((edges < 1) | (edges > n_nodes)).any(axis=1)
+    ends = np.where(out_of_range[:, None], 1, edges) - 1
+    gids = node_graph[ends]
+    bad = out_of_range | (gids[:, 0] != gids[:, 1]) | (ends[:, 0] == ends[:, 1])
+    if bad.any():
+        k = int(np.argmax(bad))
+        prefix = f"{os.path.basename(files.a_path)} line {edge_lines[k]}"
+        (i, j), (gi, gj) = edges[k].tolist(), gids[k].tolist()
+        if out_of_range[k]:
+            raise ParseError(f"{prefix}: node id out of range 1..{n_nodes}: ({i}, {j})")
         if gi != gj:
-            raise ParseError(
-                f"{a_name} line {ln}: edge ({i}, {j}) crosses graphs {gi} and {gj}"
-            )
-        if i == j:
-            raise ParseError(f"{a_name} line {ln}: self-loop on node {i}")
-        e = mats[gi - 1]
-        e[local[i - 1], local[j - 1]] = 1.0
-        e[local[j - 1], local[i - 1]] = 1.0
+            raise ParseError(f"{prefix}: edge ({i}, {j}) crosses graphs {gi} and {gj}")
+        raise ParseError(f"{prefix}: self-loop on node {i}")
+    # Every graph's matrix is a block of one buffer, where node u's row starts
+    # at row_start[u]; each edge sets (i, j) and (j, i).
+    area = sizes * sizes
+    row_start = (np.cumsum(area) - area)[node_graph - 1] + local * sizes[node_graph - 1]
+    flat = np.zeros(int(area.sum()))
+    flat[row_start[ends] + local[ends[:, ::-1]]] = 1.0
+    blocks = np.split(flat, np.cumsum(area)[:-1])
+    mats = [block.reshape(n, n) for block, n in zip(blocks, sizes.tolist())]
 
-    label_rows = _read_rows(files.graph_labels_path, 1)
-    if len(label_rows) != n_graphs:
-        raise ParseError(
-            f"{os.path.basename(files.graph_labels_path)}: {len(label_rows)} labels "
-            f"for {n_graphs} graphs"
-        )
-    raw_labels = [v[0] for _, v in label_rows]
-    label_values = sorted(set(raw_labels))
-    class_of = {v: c for c, v in enumerate(label_values)}
-    labels = [class_of[v] for v in raw_labels]
-
-    node_labels: list[np.ndarray] | None = None
+    raw_labels = _read_labels(files.graph_labels_path, n_graphs, "graphs")
+    label_values, labels = np.unique(raw_labels, return_inverse=True)
+    node_labels: list[np.ndarray] | list[None] = [None] * n_graphs
     if files.has_node_labels():
-        nl_rows = _read_rows(files.node_labels_path, 1)
-        if len(nl_rows) != n_nodes:
-            raise ParseError(
-                f"{os.path.basename(files.node_labels_path)}: {len(nl_rows)} labels "
-                f"for {n_nodes} nodes"
-            )
-        node_labels = [np.zeros(int(s), dtype=np.int64) for s in sizes]
-        for node, (_, v) in enumerate(nl_rows):
-            node_labels[node_graph[node] - 1][local[node]] = v[0]
+        values = _read_labels(files.node_labels_path, n_nodes, "nodes")
+        node_labels = np.split(values[order], np.cumsum(sizes)[:-1])
 
-    graphs = [
-        ParsedGraph(mats[g], node_labels[g] if node_labels is not None else None)
-        for g in range(n_graphs)
-    ]
-    return ParsedDataset(files.name, graphs, labels, len(label_values), label_values)
+    graphs = [ParsedGraph(e, nl) for e, nl in zip(mats, node_labels)]
+    return ParsedDataset(
+        files.name, graphs, labels.tolist(), label_values.size, label_values.tolist()
+    )
 
 
 def encode_node_features(ds: ParsedDataset, mode: str = "one_hot_labels") -> GraphDataset:
@@ -214,35 +229,20 @@ def encode_node_features(ds: ParsedDataset, mode: str = "one_hot_labels") -> Gra
     if mode == "one_hot_labels":
         if not ds.has_node_labels():
             raise ValueError(f"{ds.name}: node labels required for one_hot_labels encoding")
-        values = sorted({int(v) for g in ds.graphs for v in g.node_labels})
-        index = {v: i for i, v in enumerate(values)}
-        d = len(values)
-
-        def feats(g: ParsedGraph) -> np.ndarray:
-            v = np.zeros((g.n, d))
-            for row, lab in enumerate(g.node_labels):
-                v[row, index[int(lab)]] = 1.0
-            return v
-
+        labels = [g.node_labels for g in ds.graphs]
+        values = np.unique(np.concatenate([np.zeros(0, np.int64), *labels]))
+        cols = [np.searchsorted(values, x) for x in labels]
+        d = values.size
     elif mode == "one_hot_degree":
-        max_deg = max(int(g.e.sum(axis=1).max()) if g.n else 0 for g in ds.graphs)
-        d = max_deg + 1
-
-        def feats(g: ParsedGraph) -> np.ndarray:
-            v = np.zeros((g.n, d))
-            for row, deg in enumerate(g.e.sum(axis=1).astype(np.int64)):
-                v[row, int(deg)] = 1.0
-            return v
-
+        cols = [g.e.sum(axis=1).astype(np.int64) for g in ds.graphs]
+        d = max((int(c.max()) for c in cols if c.size), default=0) + 1
     else:
         raise ValueError(f"unknown encoding mode {mode!r}")
 
+    eye = np.eye(d)
     items = [
-        (
-            NodeFeaturedGraph(feats(g), g.e.copy()),
-            LabelDistribution.one_hot(c, ds.num_classes),
-        )
-        for g, c in zip(ds.graphs, ds.labels)
+        (NodeFeaturedGraph(eye[col], g.e.copy()), LabelDistribution.one_hot(c, ds.num_classes))
+        for g, col, c in zip(ds.graphs, cols, ds.labels)
     ]
     return GraphDataset(items, ds.num_classes, d, ds.name)
 
@@ -388,25 +388,17 @@ def write_tudataset(ds: ParsedDataset, directory: str, name: str | None = None) 
     os.makedirs(directory, exist_ok=True)
     files = TUDatasetFiles(directory, name)
 
-    offsets = np.cumsum([0] + [g.n for g in ds.graphs])
-    with open(files.a_path, "w", encoding="utf-8") as fh:
-        for gidx, g in enumerate(ds.graphs):
-            base = int(offsets[gidx])
-            iu, ju = np.nonzero(np.triu(g.e, k=1))
-            for i, j in zip(iu.tolist(), ju.tolist()):
-                fh.write(f"{base + i + 1}, {base + j + 1}\n")
-                fh.write(f"{base + j + 1}, {base + i + 1}\n")
-    with open(files.indicator_path, "w", encoding="utf-8") as fh:
-        for gidx, g in enumerate(ds.graphs):
-            fh.writelines([f"{gidx + 1}\n"] * g.n)
-    with open(files.graph_labels_path, "w", encoding="utf-8") as fh:
-        for c in ds.labels:
-            fh.write(f"{ds.label_values[c]}\n")
+    sizes = [g.n for g in ds.graphs]
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
+    for base, g in zip(np.cumsum([1] + sizes), ds.graphs):
+        iu, ju = np.nonzero(np.triu(g.e, k=1))
+        pairs.append(np.stack([iu, ju, ju, iu], axis=1).reshape(-1, 2) + base)
+    np.savetxt(files.a_path, np.concatenate(pairs), fmt="%d, %d")
+    np.savetxt(files.indicator_path, np.repeat(np.arange(1, len(sizes) + 1), sizes), fmt="%d")
+    np.savetxt(files.graph_labels_path, np.asarray(ds.label_values)[ds.labels], fmt="%d")
     if ds.has_node_labels():
-        with open(files.node_labels_path, "w", encoding="utf-8") as fh:
-            for g in ds.graphs:
-                for v in g.node_labels:
-                    fh.write(f"{int(v)}\n")
+        node_labels = [np.zeros(0, dtype=np.int64), *(g.node_labels for g in ds.graphs)]
+        np.savetxt(files.node_labels_path, np.concatenate(node_labels), fmt="%d")
     return files
 
 
@@ -421,66 +413,38 @@ def write_weighted_graph(g: NodeFeaturedGraph, directory: str, name: str) -> Non
     os.makedirs(directory, exist_ok=True)
     files = TUDatasetFiles(directory, name)
     iu, ju = np.nonzero(np.triu(g.e, k=1))
-    with open(files.a_path, "w", encoding="utf-8") as fa, open(
-        files.path("edge_weights"), "w", encoding="utf-8"
-    ) as fw:
-        for i, j in zip(iu.tolist(), ju.tolist()):
-            w = repr(float(g.e[i, j]))
-            fa.write(f"{i + 1}, {j + 1}\n{j + 1}, {i + 1}\n")
-            fw.write(f"{w}\n{w}\n")
-    with open(files.indicator_path, "w", encoding="utf-8") as fh:
-        fh.writelines(["1\n"] * g.n)
+    np.savetxt(files.a_path, np.stack([iu, ju, ju, iu], axis=1).reshape(-1, 2) + 1, fmt="%d, %d")
+    np.savetxt(files.indicator_path, np.ones(g.n, dtype=np.int64), fmt="%d")
+    with open(files.path("edge_weights"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{w!r}\n" for w in np.repeat(g.e[iu, ju], 2).tolist())
     with open(files.path("node_features"), "w", encoding="utf-8") as fh:
-        for row in g.v:
-            fh.write(", ".join(repr(float(x)) for x in row) + "\n")
+        fh.writelines(", ".join(map(repr, row)) + "\n" for row in g.v.tolist())
 
 
 def read_weighted_graph(directory: str, name: str) -> NodeFeaturedGraph:
     """Inverse of write_weighted_graph (bit-exact: values use repr round trip)."""
     files = TUDatasetFiles(directory, name)
-    feat_path = files.path("node_features")
-    if not os.path.exists(feat_path):
-        raise ParseError(f"missing required file: {feat_path}")
-    v_rows = []
-    with open(feat_path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                v_rows.append([float(x) for x in line.replace(",", " ").split()])
-            except ValueError:
-                raise ParseError(
-                    f"{os.path.basename(feat_path)} line {ln}: non-numeric token"
-                ) from None
-    v = np.asarray(v_rows)
+    feat_path, w_path = files.path("node_features"), files.path("edge_weights")
+    v = _read_rows(feat_path, None, np.float64)[0]
     n = v.shape[0]
-    e = np.zeros((n, n))
-    edges = _read_rows(files.a_path, 2)
-    weights = []
-    w_path = files.path("edge_weights")
-    with open(w_path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                weights.append(float(line))
-            except ValueError:
-                raise ParseError(
-                    f"{os.path.basename(w_path)} line {ln}: non-numeric token {line!r}"
-                ) from None
-    if len(weights) != len(edges):
+    if n == 0:
+        raise ParseError(f"{os.path.basename(feat_path)}: no feature rows")
+    edges, edge_lines = _read_rows(files.a_path, 2)
+    weights = _read_rows(w_path, 1, np.float64)[0][:, 0]
+    if weights.size != len(edges):
         raise ParseError(
-            f"{os.path.basename(w_path)}: {len(weights)} weights for {len(edges)} edges"
+            f"{os.path.basename(w_path)}: {weights.size} weights for {len(edges)} edges"
         )
-    for (ln, (i, j)), w in zip(edges, weights):
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(
-                f"{os.path.basename(files.a_path)} line {ln}: node id out of range 1..{n}"
-            )
-        e[i - 1, j - 1] = w
-        e[j - 1, i - 1] = w
+    out_of_range = ((edges < 1) | (edges > n)).any(axis=1)
+    if out_of_range.any():
+        ln = edge_lines[int(np.argmax(out_of_range))]
+        raise ParseError(
+            f"{os.path.basename(files.a_path)} line {ln}: node id out of range 1..{n}"
+        )
+    # (i, j) then (j, i) for each line in file order, so a later line wins
+    ends = edges - 1
+    e = np.zeros((n, n))
+    e[ends.ravel(), ends[:, ::-1].ravel()] = np.repeat(weights, 2)
     return NodeFeaturedGraph(v, e)
 
 

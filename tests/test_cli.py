@@ -78,6 +78,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing required file" in err
 
+    def test_integer_outside_int64_is_one(self, tmp_path, capsys):
+        for suffix, text in (("A", "1, 2\n"), ("graph_labels", "1\n")):
+            (tmp_path / f"B_{suffix}.txt").write_text(text)
+        (tmp_path / "B_graph_indicator.txt").write_text("1\n99999999999999999999\n")
+        assert run_command(["stats", str(tmp_path), "B"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: B_graph_indicator.txt line 2: ")
+
 
 class TestStats:
     def test_prints_counts(self, dataset_dir, capsys):

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ifmixup as m
 
@@ -208,6 +215,124 @@ class TestRoundTrip:
     def test_read_weighted_missing_features(self, tmp_path):
         with pytest.raises(m.ParseError, match="missing required file"):
             m.read_weighted_graph(str(tmp_path), "GHOST")
+
+    def weighted_files(self, tmp_path):
+        e = np.array([[0.0, 0.5], [0.5, 0.0]])
+        m.write_weighted_graph(m.NodeFeaturedGraph(np.eye(2), e), str(tmp_path), "W")
+        return lambda suffix: tmp_path / f"W_{suffix}.txt"
+
+    @pytest.mark.parametrize("suffix", ["A", "edge_weights", "node_features"])
+    def test_read_weighted_missing_file(self, tmp_path, suffix):
+        path = self.weighted_files(tmp_path)(suffix)
+        path.unlink()
+        with pytest.raises(m.ParseError, match=f"missing required file: {re.escape(str(path))}"):
+            m.read_weighted_graph(str(tmp_path), "W")
+
+    @pytest.mark.parametrize(
+        "suffix, text, message",
+        [
+            ("node_features", "1.0, 0.0\n0.0\n", " line 2: expected 2 values, got 1"),
+            ("node_features", "1.0, 0.0\n0.0, one\n", " line 2: non-numeric token"),
+            ("node_features", "\n", ": no feature rows"),
+            ("edge_weights", "0.5\n0.5 0.5\n", " line 2: expected 1 values, got 2"),
+            ("edge_weights", "0.5\n", ": 1 weights for 2 edges"),
+            ("A", "1, 2\n2, 3\n", r" line 2: node id out of range 1\.\.2"),
+        ],
+    )
+    def test_read_weighted_malformed_file_named(self, tmp_path, suffix, text, message):
+        self.weighted_files(tmp_path)(suffix).write_text(text)
+        with pytest.raises(m.ParseError, match=f"^W_{suffix}\\.txt{message}"):
+            m.read_weighted_graph(str(tmp_path), "W")
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+OUTSIDE_INT64 = st.one_of(st.integers(2**63, 2**80), st.integers(-(2**80), -(2**63) - 1))
+# Python's int() accepts the last two; the parser takes only signed ASCII decimal int64
+STRAY_TOKENS = ["x", "1.5", "1e3", "0x1", "nan", "--1", "1_000", "\u0661"]
+
+
+@st.composite
+def parsed_datasets(draw):
+    """2-5 graphs of 1-6 nodes, with int64 graph labels and, maybe, node labels."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=5))
+    with_node_labels = draw(st.booleans())
+    graphs = []
+    for n in sizes:
+        upper = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        e = np.zeros((n, n))
+        e[np.triu_indices(n, 1)] = upper
+        node_labels = np.array(draw(st.lists(INT64, min_size=n, max_size=n)))
+        graphs.append(m.ParsedGraph(e + e.T, node_labels if with_node_labels else None))
+    raw = draw(st.lists(INT64, min_size=len(sizes), max_size=len(sizes)))
+    values = sorted(set(raw))
+    return m.ParsedDataset("T", graphs, [values.index(r) for r in raw], len(values), values)
+
+
+class TestParserProperties:
+    """write_tudataset output parses back exactly; one corruption of it
+    raises ParseError naming the corrupted file, and line where there is one."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(ds=parsed_datasets())
+    def test_written_files_parse_back_bit_for_bit(self, ds):
+        with tempfile.TemporaryDirectory() as directory:
+            back = m.parse_tudataset(m.write_tudataset(ds, directory))
+        assert (back.labels, back.label_values, back.num_classes) == (
+            ds.labels, ds.label_values, ds.num_classes
+        )
+        for a, b in zip(ds.graphs, back.graphs, strict=True):
+            assert b.e.dtype == np.float64 and b.e.tobytes() == a.e.tobytes()
+            if a.node_labels is None:
+                assert b.node_labels is None
+            else:
+                assert b.node_labels.dtype == np.int64
+                assert b.node_labels.tobytes() == a.node_labels.tobytes()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(ds=parsed_datasets(), data=st.data())
+    def test_one_corruption_is_named(self, ds, data):
+        with tempfile.TemporaryDirectory() as directory:
+            files = m.write_tudataset(ds, directory)
+            paths = [files.a_path, files.indicator_path, files.graph_labels_path]
+            if ds.has_node_labels():
+                paths.append(files.node_labels_path)
+            text = {p: pathlib.Path(p).read_text(encoding="utf-8").splitlines() for p in paths}
+            kinds = ["stray", "extra", "outside", "crossing", "gap"]
+            kinds += ["truncated"] if text[files.a_path] else []
+            kind = data.draw(st.sampled_from(kinds))
+            if kind in ("stray", "extra", "outside"):
+                path = data.draw(st.sampled_from([p for p in paths if text[p]]))
+            else:
+                path = files.indicator_path if kind == "gap" else files.a_path
+            lines = text[path]
+            k = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+            name = os.path.basename(path)
+            expected = f"{name} line {k + 1}: "
+            if kind == "truncated":
+                lines[k] = lines[k].split(",")[0]
+            elif kind == "extra":
+                lines[k] += " 7"
+            elif kind in ("stray", "outside"):
+                tokens = lines[k].split(", ")
+                bad = st.sampled_from(STRAY_TOKENS) if kind == "stray" else OUTSIDE_INT64
+                token = data.draw(bad)
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = str(token)
+                lines[k] = ", ".join(tokens)
+            elif kind == "crossing":
+                n0, n1 = ds.graphs[0].n, ds.graphs[1].n
+                ends = [data.draw(st.integers(1, n0)), data.draw(st.integers(n0 + 1, n0 + n1))]
+                lines.append("{}, {}".format(*data.draw(st.permutations(ends))))
+                expected = f"{name} line {len(lines)}: edge"
+            else:  # the last graph's id leaves a gap or drops below 1
+                last = str(len(ds))
+                ids = st.one_of(st.integers(len(ds) + 1, 2**63 - 1), st.integers(-(2**63), 0))
+                gap = str(data.draw(ids))
+                lines[:] = [gap if line == last else line for line in lines]
+                expected = f"{name}: graph ids must be consecutive"
+            pathlib.Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(m.ParseError) as exc:
+                m.parse_tudataset(files)
+        assert str(exc.value).startswith(expected)
 
 
 class TestSyntheticMolecules:

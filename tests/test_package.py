@@ -1,8 +1,9 @@
-"""Package metadata: the declared version, the public export list, and the
-names the benchmark reaches into."""
+"""Package metadata: the declared version, the public export list, the
+names the benchmark reaches into, and the runtime imports."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import os
@@ -111,3 +112,25 @@ def test_benchmark_span_targets_see_calls(bench_workloads, monkeypatch):
     ifmixup.training.build_epoch_stream(ds.items, cfg, np.random.default_rng(0))
 
     assert {key: n for key, n in calls.items() if n == 0} == {}
+
+
+def test_runtime_imports_are_numpy_and_stdlib():
+    """The only runtime dependency is numpy: every import in the package is
+    numpy, the package itself, or a standard-library module."""
+    source = os.path.dirname(m.__file__)
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ifmixup"}
+    foreign = []
+    for filename in sorted(os.listdir(source)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(source, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(filename, n) for n in names if n.split(".")[0] not in allowed]
+    assert foreign == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import ifmixup as m
 import ifmixup.recovery
+from ifmixup.graphs import RANK_TOL
 from ifmixup.recovery import HALF_GUARD, RecoveryError, recovery_mode, sample_decodable_lambda
 
 from conftest import graphs_equal, rand_one_hot_graph
@@ -169,12 +170,17 @@ class TestRecoverFeaturesIndependent:
         assert sets == 2046
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(k=st.integers(2, 4), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
-    def test_verdict_matches_decoder_near_singular(self, k, extra, seed):
+    @given(
+        k=st.integers(2, 4),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        at_tol=st.booleans(),
+    )
+    def test_verdict_matches_decoder_near_singular(self, k, extra, seed, at_tol):
         """check_linear_independence accepts V exactly when the decoder's own
         solve does, on vocabularies whose smallest singular value straddles
-        RANK_TOL."""
-        v = near_singular_vocabulary(k, k + extra, np.random.default_rng(seed))
+        RANK_TOL or sits exactly on it."""
+        v = near_singular_vocabulary(k, k + extra, np.random.default_rng(seed), at_tol)
         try:
             m.recover_features_independent(v[:1], 0.3, v)
             decodes = True
@@ -183,17 +189,21 @@ class TestRecoverFeaturesIndependent:
         assert m.check_linear_independence(v)[0] == decodes
 
 
-def near_singular_vocabulary(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
+def near_singular_vocabulary(
+    k: int, d: int, rng: np.random.Generator, at_tol: bool
+) -> np.ndarray:
     """V = (u * s) @ w[:k] with orthonormal u (k x k) and w (d x d): k rows
-    whose smallest singular value is log-uniform in [1e-9.5, 1e-8.5].
+    whose smallest singular value is log-uniform in [1e-9.5, 1e-8.5], or
+    exactly RANK_TOL when ``at_tol``.
 
-    That value comes from ``rng``, not from a Hypothesis float, which favours
-    round values such as 1e-9 itself: at exactly RANK_TOL the singular values
-    of ``np.linalg.svd`` and ``np.linalg.lstsq`` fall on either side of it.
+    That value comes from ``rng``, not from a Hypothesis float, so that the
+    band around RANK_TOL is sampled evenly; ``at_tol`` pins the one value on
+    which singular values from two LAPACK drivers fall on either side.
     """
     u = np.linalg.qr(rng.standard_normal((k, k)))[0]
     w = np.linalg.qr(rng.standard_normal((d, d)))[0]
-    s = np.append(rng.uniform(0.5, 2.0, k - 1), 10.0 ** rng.uniform(-9.5, -8.5))
+    smallest = RANK_TOL if at_tol else 10.0 ** rng.uniform(-9.5, -8.5)
+    s = np.append(rng.uniform(0.5, 2.0, k - 1), smallest)
     return (u * s) @ w[:k]
 
 
