@@ -188,16 +188,21 @@ def _cmd_recover(args) -> int:
     meta_path = os.path.join(args.mixed_dir, f"{MIXED_NAME}_meta.json")
     if not os.path.exists(meta_path):
         raise ParseError(f"missing sidecar {meta_path}; is this a mix output directory?")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _read_config(meta_path)
     if meta.get("format") != "ifmixup-mixed-sample":
         raise ParseError(f"{meta_path}: not a mixed-sample sidecar")
+    ds_doc, lam = meta.get("dataset"), meta.get("lam")
+    if not isinstance(ds_doc, dict) or not all(
+        isinstance(ds_doc.get(key), str) for key in ("directory", "name")
+    ):
+        raise ParseError(f"{meta_path}: 'dataset' needs a string 'directory' and 'name'")
+    if not (isinstance(lam, float) and 0.0 < lam < 1.0):
+        raise ParseError(f"{meta_path}: 'lam' must be a float in (0, 1), got {lam!r}")
     mixed = read_weighted_graph(args.mixed_dir, MIXED_NAME)
     problems = validate_graph(mixed)
     if problems:
         raise ParseError(f"{args.mixed_dir}: invalid mixed graph: {problems[0]}")
 
-    ds_doc = meta["dataset"]
     ds = load_dataset(ds_doc["directory"], ds_doc["name"], ds_doc.get("encoding"))
     basis = feature_vocabulary(ds)
     mode = recovery_mode(basis)
@@ -205,6 +210,14 @@ def _cmd_recover(args) -> int:
         raise RecoveryError(
             f"{ds.name}: neither the feature vocabulary nor the coefficient collection "
             "is linearly independent, so the mix cannot be decoded"
+        )
+    indices = meta.get("source_indices")
+    if not (isinstance(indices, list) and len(indices) == 2) or not all(
+        type(i) is int and 0 <= i < len(ds) for i in indices
+    ):
+        raise ParseError(
+            f"{meta_path}: 'source_indices' must be two graph indices in 0..{len(ds) - 1}, "
+            f"got {indices!r}"
         )
     rec = recover_pair(mixed, basis, mode=mode)
 
@@ -216,8 +229,8 @@ def _cmd_recover(args) -> int:
             f"recovered lambda={rec.lam!r} (canonical < 0.5); "
             f"sources n={rec.graph_a.n} and n={rec.graph_b.n}"
         )
-    ia, ib = meta["source_indices"]
-    ok = rec.matches(ds.items[ia][0], ds.items[ib][0], float(meta["lam"]))
+    ia, ib = indices
+    ok = rec.matches(ds.items[ia][0], ds.items[ib][0], lam)
     print(f"matches recorded sources: {'yes' if ok else 'NO'}")
     if not ok:
         raise RecoveryError("recovered pair does not match the recorded sources")
@@ -255,6 +268,7 @@ def _cmd_check_independence(args) -> int:
 
 
 def _read_config(path: str) -> dict:
+    """A JSON object from ``path``: a config file or a mix's sidecar."""
     if not os.path.exists(path):
         raise ParseError(f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh:
@@ -263,7 +277,7 @@ def _read_config(path: str) -> dict:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
+        raise ParseError(f"{path}: expected a JSON object")
     return doc
 
 

@@ -156,6 +156,19 @@ class FeatureBasis:
         return ok
 
 
+def _symmetry_violations(e: np.ndarray) -> list[str]:
+    """Where a square edge matrix is asymmetric or has a nonzero diagonal, by exact comparison."""
+    violations: list[str] = []
+    asym = e != e.T
+    if asym.any():
+        i, j = np.argwhere(asym)[0]
+        violations.append(f"asymmetric at ({i},{j}) ({np.count_nonzero(asym)} entries total)")
+    diag = np.diag(e) != 0.0
+    if diag.any():
+        violations.append(f"nonzero diagonal at node {diag.argmax()} ({diag.sum()} nodes total)")
+    return violations
+
+
 def validate_graph(g: NodeFeaturedGraph) -> list[str]:
     """Check the stored-graph invariants; returns a list of violations (empty = ok)."""
     violations: list[str] = []
@@ -172,13 +185,7 @@ def validate_graph(g: NodeFeaturedGraph) -> list[str]:
             violations.append(f"non-finite {what} at {where}")
             if a is g.e:
                 return violations  # symmetry, diagonal and range are undefined on NaN
-    asym = np.argwhere(g.e != g.e.T)
-    if asym.size:
-        i, j = asym[0]
-        violations.append(f"asymmetric at ({i},{j}) ({asym.shape[0]} entries total)")
-    diag = np.flatnonzero(np.diag(g.e) != 0.0)
-    if diag.size:
-        violations.append(f"nonzero diagonal at node {diag[0]} ({diag.size} nodes total)")
+    violations += _symmetry_violations(g.e)
     bad = ~((g.e >= 0.0) & (g.e <= 1.0))
     out = np.argwhere(bad)
     if out.size:

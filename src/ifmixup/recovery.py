@@ -1,17 +1,17 @@
 """Constructive recovery of the source pair from a mixed graph.
 
-A mixed edge matrix built from two distinct binary graphs takes values only
-in {0, lam, 1-lam, 1}. Whenever lam != 0.5 the equation
+Every entry of a mix reads as s*[a] + (1-s)*[b] over a known independent
+set, each source taking one member or the zero (dummy) member: an edge weight
+over the one-member set {1}, a node-feature row over the feature vocabulary
+V or the coefficient collection T (the two modes below). So edges and
+features share one ratio reader, which clusters the values and reads s off
+the soft ones, and one pattern reader, which reads the member each source
+took; an edge weight is a row of width one. Whenever s != 0.5 the equation
 
     s * e + (1 - s) * e' = e_mixed      (e, e' binary, symmetric, zero diag)
 
-has exactly two solutions, mirror images of each other under
-(s, e, e') -> (1-s, e', e). Clustering the distinct off-diagonal values
-therefore reconstructs both source edge matrices together with the mixing
-ratio.
-
-Node features decompose the same way provided the dataset's feature
-vocabulary V is finite. Two constructive modes are implemented:
+has exactly two solutions, mirror images under (s, e, e') -> (1-s, e', e):
+``edge_solutions`` reads the one with s < 0.5 and swaps it for the other.
 
 * independent mode - V itself is linearly independent. Each mixed row has a
   unique coefficient vector over V.
@@ -22,19 +22,15 @@ vocabulary V is finite. Two constructive modes are implemented:
 
 Each solve is one least-squares call on the rows themselves whose singular
 values also prove the rows independent, by the same singular-value rank test
-as ``check_linear_independence``, so no decode runs a separate rank check.
+as ``check_linear_independence``. ``recovery_mode`` says which mode a dataset
+admits, if either. The coefficients give the ratio when the edges leave it open.
 
-``recovery_mode`` says which of the two a dataset admits, if either.
-
-Either way the nonzero pattern of each coefficient vector must be one of
-{1} (identical sources), {s} or {1-s} (one source is a dummy row), or
-{s, 1-s} (two distinct members), which pins down both sources; the same
-coefficients give the ratio when the edges alone leave it open.
-
-``recover_pair`` chains the two steps and strips trailing dummy rows, which
-inverts the padding applied before mixing. A source's own trailing
-zero-feature isolated nodes are stripped too, since the mix cannot tell them
-from padding, so a decode is correct up to such nodes (``RecoveredPair.matches``).
+A dummy node is a trailing node whose features, edge row and edge column are
+exactly zero (-0.0 counts as zero); one backward scan finds them for
+``strip_dummy_nodes`` and the audit's collision index alike. ``recover_pair``
+strips them, which inverts the padding applied before mixing; a source's own
+dummy nodes go too, since the mix cannot tell them from padding, so a decode
+is correct up to such nodes (``RecoveredPair.matches``).
 """
 
 from __future__ import annotations
@@ -44,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import FeatureBasis, GraphDataset, NodeFeaturedGraph, _numerical_rank, _pad_rows
+from .graphs import _symmetry_violations
 from .mixing import BetaParams, mix_labels, mix_pair, sample_lambda
 
 DEFAULT_TOL = 1e-9
@@ -163,77 +160,37 @@ def _graphs_equal(a: NodeFeaturedGraph, b: NodeFeaturedGraph) -> bool:
     )
 
 
-def _cluster_values(values: np.ndarray) -> list[float]:
-    """Distinct values present, grouping anything within DEFAULT_TOL of a seen value."""
+def _mixing_ratio(values: np.ndarray, what: str) -> float | None:
+    """The ratio s < 0.5 that ``values`` were mixed with, or None when none
+    is soft. They cluster (within DEFAULT_TOL of each cluster's first value)
+    at no more than 0, s, 1-s and 1; RecoveryError names ``what`` when not.
+    """
     centers: list[float] = []
-    for x in np.sort(values):
+    for x in np.unique(values):  # a duplicate never opens a cluster
         if not centers or x - centers[-1] > DEFAULT_TOL:
             centers.append(float(x))
-    return centers
-
-
-def edge_solutions(e_mixed: np.ndarray) -> EdgeSolutionSet:
-    """Solve s*e + (1-s)*e' = e_mixed for binary symmetric e, e' and scalar s.
-
-    Returns the two mirrored solutions ordered with s < 0.5 first, or the
-    single degenerate solution when e_mixed is binary. Raises RecoveryError
-    when the value set cannot come from mixing two binary matrices, or when
-    the ratio is indistinguishable from 0.5.
-    """
-    e_mixed = np.asarray(e_mixed, dtype=np.float64)
-    _require_finite(e_mixed, "mixed edge weight")
-    n = e_mixed.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    values = e_mixed[iu, ju]
-
-    centers = _cluster_values(values)
-    soft = [c for c in centers if c > DEFAULT_TOL and c < 1.0 - DEFAULT_TOL]
     if len(centers) > 4:
-        raise RecoveryError(
-            f"{len(centers)} distinct edge values; a mix of two binary matrices has at most 4"
-        )
-    if len(soft) > 2:
-        raise RecoveryError(f"edge values {soft} cannot all come from one mixing ratio")
-
-    if not soft:
-        e = np.where(e_mixed > 0.5, 1.0, 0.0)
-        return EdgeSolutionSet([EdgeSolution(None, e, e.copy())], degenerate=True)
-
+        raise RecoveryError(f"{len(centers)} distinct {what}s; a mix of two sources has at most 4")
+    soft = [c for c in centers if min(abs(c), abs(c - 1.0)) > DEFAULT_TOL]
+    if len(soft) > 2 or not all(0.0 < c < 1.0 for c in soft):
+        raise RecoveryError(f"{what}s {soft} cannot all come from one mixing ratio")
     if len(soft) == 2 and abs(soft[0] + soft[1] - 1.0) > DEFAULT_TOL:
-        raise RecoveryError(
-            f"edge values {soft[0]} and {soft[1]} do not pair to a single mixing ratio"
-        )
-    s_lo = min(soft[0], 1.0 - soft[-1]) if len(soft) == 2 else min(soft[0], 1.0 - soft[0])
-    if abs(s_lo - 0.5) < DEFAULT_TOL:
-        raise RecoveryError("mixing ratio indistinguishable from 0.5")
-
-    solutions = []
-    for s in (s_lo, 1.0 - s_lo):
-        # Under this s: values near s came from (e=1, e'=0), near 1-s from (0, 1).
-        e = np.where(np.abs(e_mixed - 1.0) <= DEFAULT_TOL, 1.0, 0.0)
-        e_p = e.copy()
-        e[np.abs(e_mixed - s) <= DEFAULT_TOL] = 1.0
-        e_p[np.abs(e_mixed - (1.0 - s)) <= DEFAULT_TOL] = 1.0
-        np.fill_diagonal(e, 0.0)
-        np.fill_diagonal(e_p, 0.0)
-        residual = np.max(np.abs(s * e + (1.0 - s) * e_p - e_mixed))
-        if residual > DEFAULT_TOL:
-            raise RecoveryError(f"edge values inconsistent with ratio {s}: residual {residual:.3e}")
-        solutions.append(EdgeSolution(s, e, e_p))
-    return EdgeSolutionSet(solutions, degenerate=False)
+        raise RecoveryError(f"{what}s {soft[0]} and {soft[1]} do not pair to a single mixing ratio")
+    return min(soft[0], 1.0 - soft[-1]) if soft else None
 
 
 def _split_coefficients(coeff: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Read each row of ``coeff`` as s*[a] + (1-s)*[b] over an independent set.
 
-    Returns the member indices (ia, ib) that the two sources took per row,
-    with -1 for the zero (dummy) row. Raises RecoveryError naming the first
-    row with any other pattern.
+    A row holds a feature row's coefficients over V or T, or one edge weight
+    over {1}. Returns the member indices (ia, ib) that the two sources took
+    per row, with -1 for the zero (dummy) member. Raises RecoveryError when
+    s is within DEFAULT_TOL of 0.5, and naming the first misfit row.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
     if abs(s - 0.5) <= DEFAULT_TOL:
-        raise RecoveryError("s = 0.5 makes the two feature assignments indistinguishable")
+        raise RecoveryError(f"mixing ratio {s} indistinguishable from 0.5")
     rows, width = coeff.shape
     # Per side, the first member at s (a's side) or 1-s (b's side), or at 1
     # for both; a row with none falls through to a spare column, the dummy row.
@@ -248,12 +205,38 @@ def _split_coefficients(coeff: np.ndarray, s: float) -> tuple[np.ndarray, np.nda
     if bad.size:
         r = int(bad[0])
         nonzero = coeff[r][np.abs(coeff[r]) > DEFAULT_TOL].tolist()
-        raise RecoveryError(
-            f"row {r}: coefficients {nonzero} are not s*[a] + (1-s)*[b] for s={s}"
-        )
+        raise RecoveryError(f"row {r}: coefficients {nonzero} are not s*[a] + (1-s)*[b] for s={s}")
     ia[ia == width] = -1
     ib[ib == width] = -1
     return ia, ib
+
+
+def edge_solutions(e_mixed: np.ndarray) -> EdgeSolutionSet:
+    """Solve s*e + (1-s)*e' = e_mixed for binary symmetric e, e' and scalar s.
+
+    Returns the two mirrored solutions ordered with s < 0.5 first, or the
+    single degenerate solution when e_mixed is binary. Raises RecoveryError
+    when e_mixed is not square and exactly symmetric with a zero diagonal,
+    when its values cannot come from mixing two binary matrices, or when
+    the ratio is indistinguishable from 0.5.
+    """
+    e_mixed = np.asarray(e_mixed, dtype=np.float64)
+    _require_finite(e_mixed, "mixed edge weight")
+    if e_mixed.ndim != 2 or e_mixed.shape[0] != e_mixed.shape[1]:
+        raise RecoveryError(f"mixed edge matrix must be square, got shape {e_mixed.shape}")
+    problems = _symmetry_violations(e_mixed)
+    if problems:
+        raise RecoveryError(f"mixed edge matrix {problems[0]}")
+
+    # Every weight is read, so row r of the pattern is entry divmod(r, n);
+    # the zero diagonal reads as the dummy member on both sides.
+    s = _mixing_ratio(e_mixed.ravel(), "edge weight")
+    if s is None:
+        e = np.where(e_mixed > 0.5, 1.0, 0.0)
+        return EdgeSolutionSet([EdgeSolution(None, e, e.copy())], degenerate=True)
+    ia, ib = _split_coefficients(e_mixed.reshape(-1, 1), s)
+    e, e_p = (np.where(side == 0, 1.0, 0.0).reshape(e_mixed.shape) for side in (ia, ib))
+    return EdgeSolutionSet([EdgeSolution(s, e, e_p), EdgeSolution(1.0 - s, e_p, e)])
 
 
 _OFF_SPAN = "mixed features leave SPAN(V)"
@@ -348,30 +331,23 @@ def _infer_ratio_from_features(v_mixed: np.ndarray, basis: FeatureBasis, mode: s
         coeff = _coefficients_over_vocabulary(v_mixed, basis.vocabulary)
     else:
         coeff, _ = _coefficients_over_t_set(v_mixed, basis)
-    flat = coeff.ravel()
-    soft = _cluster_values(flat[(np.abs(flat) > DEFAULT_TOL) & (np.abs(flat - 1.0) > DEFAULT_TOL)])
-    if not soft:
-        return None
-    if len(soft) > 2 or (len(soft) == 2 and abs(soft[0] + soft[1] - 1.0) > DEFAULT_TOL):
-        raise RecoveryError(f"feature coefficients {soft} imply no single mixing ratio")
-    s = soft[0]
-    if abs(s - 0.5) < DEFAULT_TOL:
-        raise RecoveryError("mixing ratio indistinguishable from 0.5")
-    return min(s, 1.0 - s)
+    return _mixing_ratio(coeff.ravel(), "feature coefficient")
+
+
+def _live_nodes(g: NodeFeaturedGraph) -> int:
+    """The node count of ``g`` without its trailing dummy nodes (features,
+    edge row and edge column exactly zero), by a backward scan that stops at
+    the first live node."""
+    v, e, n = g.v, g.e, g.n
+    while n and not (v[n - 1].any() or e[n - 1].any() or e[:, n - 1].any()):
+        n -= 1
+    return n
 
 
 def strip_dummy_nodes(g: NodeFeaturedGraph) -> NodeFeaturedGraph:
-    """Remove trailing zero-feature, zero-degree nodes (inverts pad_graph)."""
-    n = g.n
-    while n > 0:
-        i = n - 1
-        if np.max(np.abs(g.v[i])) <= DEFAULT_TOL and not np.any(g.e[i, :n] != 0.0):
-            n -= 1
-        else:
-            break
-    if n == g.n:
-        return g
-    return NodeFeaturedGraph(g.v[:n].copy(), g.e[:n, :n].copy())
+    """Remove trailing dummy nodes (inverts pad_graph)."""
+    n = _live_nodes(g)
+    return g if n == g.n else NodeFeaturedGraph(g.v[:n].copy(), g.e[:n, :n].copy())
 
 
 def recover_pair(
@@ -444,14 +420,11 @@ def _collision_key(g: NodeFeaturedGraph) -> int:
     """A hash of ``g`` without its trailing dummy nodes, equal for any two
     graphs that are equal entry by entry once padded to a common size.
 
-    A trailing node is a dummy when its features, its edge row and its edge
-    column are exactly zero. Adding 0.0 turns -0.0 into 0.0, so graphs that
-    compare equal as floats hash their bytes alike.
+    Adding 0.0 turns -0.0 into 0.0, so graphs that compare equal as floats
+    hash their bytes alike.
     """
-    v, e, n = g.v, g.e, g.n
-    while n and not (v[n - 1].any() or e[n - 1].any() or e[:, n - 1].any()):
-        n -= 1
-    return hash((n, g.d, (v[:n] + 0.0).tobytes(), (e[:n, :n] + 0.0).tobytes()))
+    n = _live_nodes(g)
+    return hash((n, g.d, (g.v[:n] + 0.0).tobytes(), (g.e[:n, :n] + 0.0).tobytes()))
 
 
 def intrusion_audit(

@@ -240,8 +240,9 @@ def encode_node_features(ds: ParsedDataset, mode: str = "one_hot_labels") -> Gra
         raise ValueError(f"unknown encoding mode {mode!r}")
 
     eye = np.eye(d)
+    one_hots = [LabelDistribution.one_hot(c, ds.num_classes) for c in range(ds.num_classes)]
     items = [
-        (NodeFeaturedGraph(eye[col], g.e.copy()), LabelDistribution.one_hot(c, ds.num_classes))
+        (NodeFeaturedGraph(eye[col], g.e.copy()), one_hots[c])
         for g, col, c in zip(ds.graphs, cols, ds.labels)
     ]
     return GraphDataset(items, ds.num_classes, d, ds.name)
@@ -408,8 +409,10 @@ def write_weighted_graph(g: NodeFeaturedGraph, directory: str, name: str) -> Non
     The base format has no edge weights or real features, so two extra files
     join the TUDataset-style topology: NAME_edge_weights.txt (one weight per
     NAME_A.txt line) and NAME_node_features.txt (one comma-separated feature
-    row per node).
+    row per node), so the graph needs at least one node and one feature column.
     """
+    if g.n == 0 or g.d == 0:
+        raise ValueError(f"{name}: cannot write {g.n} nodes with {g.d} feature columns")
     os.makedirs(directory, exist_ok=True)
     files = TUDatasetFiles(directory, name)
     iu, ju = np.nonzero(np.triu(g.e, k=1))

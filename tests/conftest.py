@@ -11,8 +11,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import ifmixup as m
+
+# Every property test draws the same examples on every run, keeps no example
+# database on disk and has no per-example deadline, which a loaded host misses.
+settings.register_profile("ifmixup", derandomize=True, database=None, deadline=None)
+settings.load_profile("ifmixup")
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
 MUTAG_DIR = os.path.join(DATA_DIR, "MUTAG")

@@ -151,6 +151,55 @@ class TestMixRecover:
         assert run_command(["recover", str(tmp_path)]) == 1
         assert "not a mixed-sample sidecar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{", "invalid JSON"), ("[]", "expected a JSON object")],
+        ids=["json", "list"],
+    )
+    def test_recover_rejects_unreadable_sidecar(self, tmp_path, capsys, text, message):
+        (tmp_path / "MIXED_meta.json").write_text(text)
+        assert run_command(["recover", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"MIXED_meta.json: {message}" in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.update(source_indices=[0, 99]),
+            lambda meta: meta.update(source_indices=[0]),
+            lambda meta: meta.pop("dataset"),
+            lambda meta: meta["dataset"].pop("directory"),
+            lambda meta: meta["dataset"].pop("name"),
+            lambda meta: meta.update(lam=1.5),
+            lambda meta: meta.update(lam="0.3"),
+            lambda meta: meta.pop("lam"),
+        ],
+        ids=[
+            "index-out-of-range",
+            "one-index",
+            "no-dataset",
+            "no-directory",
+            "no-name",
+            "lam-out-of-range",
+            "lam-string",
+            "no-lam",
+        ],
+    )
+    def test_recover_rejects_bad_sidecar(self, dataset_dir, tmp_path, capsys, edit):
+        out = str(tmp_path / "mixed")
+        os.makedirs(out)
+        assert run_command(["mix", dataset_dir, "SYN", "--seed", "4", "--out", out]) == 0
+        meta_path = os.path.join(out, "MIXED_meta.json")
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        edit(meta)
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh)
+        capsys.readouterr()
+        assert run_command(["recover", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MIXED_meta.json: " in err
+
 
 class TestAuditAndIndependence:
     def test_audit_clean_dataset(self, dataset_dir, capsys):

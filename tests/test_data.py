@@ -212,6 +212,14 @@ class TestRoundTrip:
         assert np.array_equal(back.v, g.v)  # repr round trip is exact
         assert np.array_equal(back.e, g.e)
 
+    @pytest.mark.parametrize("n, d", [(2, 0), (0, 3)], ids=["no-columns", "no-nodes"])
+    def test_unreadable_weighted_graph_not_written(self, tmp_path, n, d):
+        g = m.NodeFeaturedGraph(np.zeros((n, d)), np.zeros((n, n)))
+        message = f"^W: cannot write {n} nodes with {d} feature columns"
+        with pytest.raises(ValueError, match=message):
+            m.write_weighted_graph(g, str(tmp_path / "out"), "W")
+        assert not (tmp_path / "out").exists()
+
     def test_read_weighted_missing_features(self, tmp_path):
         with pytest.raises(m.ParseError, match="missing required file"):
             m.read_weighted_graph(str(tmp_path), "GHOST")
@@ -272,7 +280,7 @@ class TestParserProperties:
     """write_tudataset output parses back exactly; one corruption of it
     raises ParseError naming the corrupted file, and line where there is one."""
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=100)
     @given(ds=parsed_datasets())
     def test_written_files_parse_back_bit_for_bit(self, ds):
         with tempfile.TemporaryDirectory() as directory:
@@ -288,7 +296,7 @@ class TestParserProperties:
                 assert b.node_labels.dtype == np.int64
                 assert b.node_labels.tobytes() == a.node_labels.tobytes()
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(ds=parsed_datasets(), data=st.data())
     def test_one_corruption_is_named(self, ds, data):
         with tempfile.TemporaryDirectory() as directory:

@@ -91,6 +91,28 @@ class TestEdgeSolutions:
         with pytest.raises(RecoveryError, match=r"non-finite mixed edge weight at \(0, 2\): nan"):
             m.edge_solutions(sym({(0, 1): 0.3, (0, 2): np.nan}, 3))
 
+    @pytest.mark.parametrize(
+        "e, message",
+        [
+            ([[0.0, 0.3], [0.7, 0.0]], r"asymmetric at \(0,1\)"),
+            ([[1.0, 1.0], [1.0, 0.0]], "nonzero diagonal at node 0"),
+            ([[0.0, 0.3, 0.0]], "must be square"),
+        ],
+        ids=["asymmetric", "diagonal", "not-square"],
+    )
+    def test_malformed_matrix_rejected(self, e, message):
+        with pytest.raises(RecoveryError, match=message):
+            m.edge_solutions(np.array(e))
+
+    @pytest.mark.parametrize("w", [2.0, -0.3], ids=["above-one", "negative"])
+    def test_weight_outside_unit_interval_rejected(self, w):
+        with pytest.raises(RecoveryError, match="cannot all come from one mixing ratio"):
+            m.edge_solutions(sym({(0, 1): w}, 2))
+
+    def test_mirror_is_the_swap(self):
+        lo, hi = m.edge_solutions(sym({(0, 1): 0.3, (0, 2): 0.7, (1, 2): 1.0}, 3)).solutions
+        assert hi.s == 1.0 - lo.s and hi.e is lo.e_prime and hi.e_prime is lo.e
+
 
 ONE_HOTS_3 = np.eye(3)
 
@@ -169,7 +191,7 @@ class TestRecoverFeaturesIndependent:
                     m.recover_features_independent(voc[:1], 0.3, voc)
         assert sets == 2046
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(
         k=st.integers(2, 4),
         extra=st.integers(0, 2),
@@ -494,6 +516,24 @@ class TestRecoverPair:
         # a graph with no dummies is returned intact
         assert graphs_equal(m.strip_dummy_nodes(g), g)
 
+    def test_dummy_features_are_exactly_zero(self):
+        # a trailing isolated node with features within DEFAULT_TOL of zero
+        # is live: the collision index and strip_dummy_nodes agree on it
+        g = rand_one_hot_graph(np.random.default_rng(13), 4, 3)
+        tail = m.pad_graph(g, 5)
+        tail.v[4, 0] = 1e-12
+        assert m.strip_dummy_nodes(tail).n == 5
+        assert ifmixup.recovery._collision_key(tail) != ifmixup.recovery._collision_key(g)
+
+    def test_feature_coefficient_above_one_rejected(self):
+        # binary edges leave the ratio to the features, whose coefficient 2
+        # no mix of two members makes
+        e = sym({(0, 1): 1.0}, 2)
+        a = m.NodeFeaturedGraph(np.eye(2), e)
+        mixed = m.NodeFeaturedGraph(np.array([[2.0, 0.0], [0.0, 1.0]]), e)
+        with pytest.raises(RecoveryError, match="cannot all come from one mixing ratio"):
+            m.recover_pair(mixed, two_graph_basis(a, a))
+
 
 class TestMatches:
     def pair(self, lam=0.27):
@@ -523,6 +563,78 @@ class TestMatches:
         assert rec.matches(g, g, 0.3) and rec.matches(g, g, 0.9)
         other = rand_one_hot_graph(np.random.default_rng(15), 4, 3)
         assert not rec.matches(g, other, 0.3)
+
+
+TOL = ifmixup.recovery.DEFAULT_TOL
+
+
+@st.composite
+def one_hot_graphs(draw, d: int, max_n: int = 6) -> m.NodeFeaturedGraph:
+    """1-``max_n`` nodes with one-hot or zero features over ``d`` columns;
+    edgeless about a quarter of the time."""
+    n = draw(st.integers(1, max_n))
+    v = np.zeros((n, d))
+    cols = draw(st.lists(st.integers(-1, d - 1), min_size=n, max_size=n))
+    v[[i for i, c in enumerate(cols) if c >= 0], [c for c in cols if c >= 0]] = 1.0
+    e = np.zeros((n, n))
+    if draw(st.integers(0, 3)):
+        pairs = n * (n - 1) // 2
+        e[np.triu_indices(n, 1)] = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    return m.NodeFeaturedGraph(v, e + e.T)
+
+
+@st.composite
+def source_pairs(draw) -> tuple[m.NodeFeaturedGraph, m.NodeFeaturedGraph]:
+    """Two graphs over one feature width, of equal or unequal sizes; the
+    same graph twice about a quarter of the time."""
+    d = draw(st.integers(1, 4))
+    a = draw(one_hot_graphs(d))
+    return a, (a if not draw(st.integers(0, 3)) else draw(one_hot_graphs(d)))
+
+
+def ratios():
+    """Mixing ratios well inside (0, 1), just outside HALF_GUARD of 0.5, and
+    a few DEFAULT_TOL from 0 or 1, where the clusters barely separate."""
+    low = st.one_of(
+        st.floats(0.01, 0.5 - HALF_GUARD),
+        st.floats(HALF_GUARD, 10 * HALF_GUARD).map(lambda x: 0.5 - x),
+        st.floats(1.5 * TOL, 10 * TOL),
+    )
+    return st.tuples(low, st.booleans()).map(lambda t: 1.0 - t[0] if t[1] else t[0])
+
+
+class TestRoundTripProperties:
+    """Random mixes decode back to their sources, edge cases included."""
+
+    @settings(max_examples=400)
+    @given(pair=source_pairs(), lam=ratios())
+    def test_decode_matches_sources(self, pair, lam):
+        a, b = pair
+        rec = m.recover_pair(m.mix_pair(a, b, lam), two_graph_basis(a, b))
+        assert rec.matches(a, b, lam)
+
+    @settings(max_examples=100)
+    @given(pair=source_pairs(), lam=ratios(), data=st.data())
+    def test_malformed_edges_rejected(self, pair, lam, data):
+        a, b = pair
+        mixed = m.mix_pair(a, b, lam)
+        n = mixed.n
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        w = data.draw(st.floats(0.0, 1.0).filter(lambda w: w != mixed.e[i, j]))
+        mixed.e[i, j] = w
+        message = "nonzero diagonal" if i == j else "asymmetric"
+        with pytest.raises(RecoveryError, match=message):
+            m.recover_pair(mixed, two_graph_basis(a, b))
+
+    @settings(max_examples=200)
+    @given(g=one_hot_graphs(3), dummies=st.integers(0, 3), signed=st.booleans())
+    def test_collision_key_ignores_dummies(self, g, dummies, signed):
+        g = m.pad_graph(g, g.n + dummies)
+        if signed:
+            g = negative_zeros(g)
+        key = ifmixup.recovery._collision_key
+        assert key(g) == key(m.strip_dummy_nodes(g))
 
 
 def dependent_vocabulary_dataset() -> m.GraphDataset:
