@@ -277,35 +277,123 @@ def coefficients_in_basis(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, basis @ v.T).T
 
 
+# Rows per block of feature_vocabulary's dedup pass: small enough that a
+# block and its temporaries stay in cache, large enough that the per-block
+# calls cost little next to the work on the rows.
+_DEDUP_BLOCK_ROWS = 1024
+
+# Added to a row's hash once per level of the dedup pass (an odd 64-bit
+# constant, so the levels of one hash walk through every slot).
+_LEVEL_STEP = 0x9E3779B97F4A7C15
+
+
+def _row_hashes(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of a uint64 matrix: every entry with its
+    high half xored onto its low half, dotted with odd ``weights`` mod 2**64.
+
+    The fold matters: times an odd weight, a top (sign) bit lands in the top
+    bit alone, where two of them cancel, so a plain weighted sum gives
+    ``[-1, 1]`` and ``[1, -1]`` one hash.
+    """
+    folded = bits >> np.uint64(32)
+    folded ^= bits
+    return folded @ weights
+
+
+def _distinct_rows(
+    graphs: list[NodeFeaturedGraph], ends: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct feature rows of ``graphs`` and each node's index into
+    them; ``ends`` holds the cumulative node counts.
+
+    One pass over blocks of whole graphs, about ``_DEDUP_BLOCK_ROWS`` stacked
+    rows each. Rows are compared by their bytes after adding 0.0, so -0.0
+    and 0.0 are one row, stored as 0.0. A row's hash only picks the
+    distinct row it is compared with, and equality decides. At level L a
+    row goes to the slot named by the top bits of its hash plus
+    L * _LEVEL_STEP; it takes the id of the distinct row in that slot if it
+    equals it, tries level L + 1 if not, and becomes the slot's distinct row
+    if the slot is empty. Equal rows walk the same slots, so a hash clash
+    costs a level and can neither merge two rows nor split one.
+    """
+    ids = np.empty(int(ends[-1]), dtype=np.intp)
+    weights = np.random.default_rng(0).integers(2**63, size=width, dtype=np.uint64) * 2 + 1
+    table_bits = max(1, 2 * len(ids)).bit_length()  # at least twice as many slots as rows
+    table = np.full(1 << table_bits, -1, dtype=np.intp)  # slot -> distinct row, -1 when empty
+    largest = int(np.max(np.diff(ends, prepend=0)))
+    block_buffer = np.empty((max(_DEDUP_BLOCK_ROWS, largest), width))
+    found = np.empty((0, width), dtype=np.uint64)  # bits of the distinct rows, the first `count` set
+    count = 0
+    start = 0
+    while start < len(graphs):
+        offset = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, offset + _DEDUP_BLOCK_ROWS, side="right"))
+        stop = max(stop, start + 1)  # a graph of more rows is a block of its own
+        block = block_buffer[: int(ends[stop - 1]) - offset]
+        np.concatenate([g.v for g in graphs[start:stop]], out=block)
+        block += 0.0  # -0.0 becomes 0.0
+        bits = block.view(np.uint64)
+        hashes = _row_hashes(bits, weights)
+        pending, level = np.arange(len(bits)), 0
+        while pending.size:
+            rows = bits[pending] if level else bits
+            step = np.uint64(level * _LEVEL_STEP % 2**64)
+            slots = (hashes[pending] + step) >> np.uint64(64 - table_bits)
+            empty = np.flatnonzero(table[slots] < 0)
+            if empty.size:  # the first row going to each empty slot becomes its distinct row
+                new_slots, first = np.unique(slots[empty], return_index=True)
+                if count + len(new_slots) > len(found):
+                    grown = np.empty((2 * (count + len(new_slots)), width), dtype=np.uint64)
+                    grown[:count] = found[:count]
+                    found = grown
+                found[count : count + len(new_slots)] = rows[empty[first]]
+                table[new_slots] = np.arange(count, count + len(new_slots))
+                count += len(new_slots)
+            cand = table[slots]
+            same = rows == found[cand]
+            if same.all():
+                ids[offset + pending] = cand
+                break
+            match = same.all(axis=1)
+            ids[offset + pending[match]] = cand[match]
+            pending, level = pending[~match], level + 1
+        start = stop
+    return found[:count].view(np.float64), ids
+
+
 def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     """Extract V, V*, a basis of SPAN(V), and per-graph coefficient matrices.
 
     Deduplication is float equality on feature rows, so a row seen with
-    ``-0.0`` and with ``0.0`` is one row, stored with ``0.0``. The zero row
-    is excluded from V and appended to V*. The basis is the greedy maximal
-    independent subset of V in lexicographic row order, so the result is
-    deterministic for a given dataset. The coefficients are solved once
-    for the distinct rows and gathered per graph. Raises ValueError naming
-    the graph and the entry when a node feature is not finite, and naming
-    the basis rank when the basis passes the rank test but its Gram matrix
-    is singular in floating point.
+    ``-0.0`` and with ``0.0`` is one row, stored with ``0.0``; rows are
+    hashed in blocks and every hash match is checked exactly (see
+    ``_distinct_rows``). The zero row is excluded from V and appended to
+    V*. The basis is the greedy maximal independent subset of V in
+    lexicographic row order, so the result is deterministic for a given
+    dataset. The coefficients are solved once for the distinct rows and
+    gathered per graph. Raises ValueError naming the graph when its feature
+    width is not the dataset's, naming the graph and the entry when a node
+    feature is not finite, and naming the basis rank when the basis passes
+    the rank test but its Gram matrix is singular in floating point.
     """
     if not ds.items:
         raise ValueError("empty dataset")
     graphs = ds.graphs()
-    ids: defaultdict[bytes, int] = defaultdict(itertools.count().__next__)  # in order of first sight
-    row_ids: list[int] = []
-    for g in graphs:
-        data, width = (g.v + 0.0).tobytes(), g.v.itemsize * g.d  # -0.0 becomes 0.0
-        row_ids += [ids[data[k * width : (k + 1) * width]] for k in range(g.n)]
-    distinct = np.frombuffer(b"".join(ids), dtype=np.float64).reshape(len(ids), ds.feature_dim)
+    shapes = [g.v.shape for g in graphs]
+    for i, (_, width) in enumerate(shapes):
+        if width != ds.feature_dim:
+            raise ValueError(
+                f"graph {i}: feature width {width}, but the dataset declares {ds.feature_dim}"
+            )
+    ends = np.cumsum([n for n, _ in shapes])
+    distinct, row_ids = _distinct_rows(graphs, ends, ds.feature_dim)
     if not np.isfinite(distinct).all():
         i, g = next((i, g) for i, g in enumerate(graphs) if not np.isfinite(g.v).all())
         at = tuple(int(k) for k in np.argwhere(~np.isfinite(g.v))[0])
         raise ValueError(f"graph {i}: non-finite node feature at {at}: {g.v[at]}")
     order = np.lexsort(distinct.T[::-1])  # lexicographic, first column most significant
     distinct = distinct[order]
-    inverse = np.argsort(order)[np.array(row_ids, dtype=np.intp)]
+    inverse = np.argsort(order)[row_ids]
 
     vocabulary = distinct[np.any(distinct != 0.0, axis=1)]
     vocabulary_star = np.concatenate([vocabulary, np.zeros((1, ds.feature_dim))], axis=0)
@@ -321,14 +409,15 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     recon = np.max(np.abs(t_distinct @ basis - distinct), initial=0.0)
     if recon > RANK_TOL:
         raise ValueError(f"basis reconstruction residual {recon:.3e} exceeds {RANK_TOL}")
-    sizes = np.cumsum([g.n for g in graphs])[:-1]
-    coeffs = np.split(t_distinct[inverse], sizes)
+    spans = list(zip([0] + ends[:-1].tolist(), ends.tolist()))
+    t_all = t_distinct[inverse]
+    coeffs = [t_all[a:b] for a, b in spans]
 
     # Two graphs' T are byte-equal exactly when their nodes' coefficient
     # rows are, so each graph is keyed on the class ids of those rows.
     t_rows: defaultdict[bytes, int] = defaultdict(itertools.count().__next__)
-    row_class = np.array([t_rows[t.tobytes()] for t in t_distinct], dtype=np.intp)
+    row_class = np.array([t_rows[t.tobytes()] for t in t_distinct], dtype=np.intp)[inverse]
     first: dict[bytes, np.ndarray] = {}
-    for t, key in zip(coeffs, np.split(row_class[inverse], sizes)):
-        first.setdefault(key.tobytes(), t)
+    for t, (a, b) in zip(coeffs, spans):
+        first.setdefault(row_class[a:b].tobytes(), t)
     return FeatureBasis(vocabulary, vocabulary_star, rank, basis, coeffs, list(first.values()))

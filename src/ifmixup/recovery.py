@@ -427,6 +427,22 @@ def _collision_key(g: NodeFeaturedGraph) -> int:
     return hash((n, g.d, (g.v[:n] + 0.0).tobytes(), (g.e[:n, :n] + 0.0).tobytes()))
 
 
+def _rows_within(v: np.ndarray, rows: set[bytes]) -> bool:
+    """Whether every row of ``v``, compared as floats, is one of ``rows``
+    (the bytes of rows with -0.0 stored as 0.0)."""
+    data, width = (v + 0.0).tobytes(), v.itemsize * v.shape[1]
+    return all(data[k * width : (k + 1) * width] in rows for k in range(v.shape[0]))
+
+
+def _collision_index(graphs: list[NodeFeaturedGraph]) -> dict[int, list[int]]:
+    """The graphs by ``_collision_key``: each key to the indices of the
+    graphs with that key."""
+    index: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        index.setdefault(_collision_key(g), []).append(i)
+    return index
+
+
 def intrusion_audit(
     ds: GraphDataset,
     trials: int,
@@ -441,15 +457,25 @@ def intrusion_audit(
     returns the source pair (up to trailing dummy nodes, see
     ``RecoveredPair.matches``). Failures are counted, not raised. The audit
     is skipped when neither feature-invertibility assumption holds for the
-    dataset.
+    dataset. Raises ValueError when ``trials`` is below 1.
 
-    Collisions come from an exact-verified hash index, built once per call:
-    it maps the hash of each training graph without its trailing dummy
-    nodes to the graphs with that hash, so a trial compares the mix only
-    with the graphs under its own hash. Each such candidate is checked
-    exactly, padded to the mix's size, so a hash clash can neither create
-    nor hide a collision.
+    A mix with a feature row outside V* (V plus the zero row) equals no
+    training graph, so its collision check ends there: every row of a
+    training graph is a row of V*, and so is every dummy row padding adds.
+    The rows are compared as floats, by their bytes after adding 0.0. When
+    V is independent, a row s*a + (1-s)*b with a != b lies off V* unless it
+    rounds onto one of its rows, so a mix passes this filter only when its
+    sources' features agree node by node, or nearly so.
+
+    The other mixes are looked up in an exact-verified hash index, built at
+    the first of them and at most once per call: it maps the hash of each
+    training graph without its trailing dummy nodes to the graphs with that
+    hash, so a trial compares the mix only with the graphs under its own
+    hash. Each such candidate is checked exactly, padded to the mix's size,
+    so a hash clash can neither create nor hide a collision.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     # imported per call, so a rebinding of graphs.feature_vocabulary (a span patch) sees it
     from .graphs import feature_vocabulary, pad_graph
 
@@ -460,9 +486,8 @@ def intrusion_audit(
 
     report = IntrusionAuditReport(ds.name, trials, mode, assumption_ok=True)
     items = ds.items
-    index: dict[int, list[int]] = {}
-    for i, (g, _) in enumerate(items):
-        index.setdefault(_collision_key(g), []).append(i)
+    vocabulary_star = {row.tobytes() for row in basis.vocabulary_star + 0.0}
+    index: dict[int, list[int]] | None = None
     for trial in range(trials):
         ia, ib = int(rng.integers(len(items))), int(rng.integers(len(items)))
         lam = sample_decodable_lambda(params, rng)
@@ -471,7 +496,13 @@ def intrusion_audit(
         mixed = mix_pair(ga, gb, lam)
         mixed_label = mix_labels(ya, yb, lam)
 
-        for i in index.get(_collision_key(mixed), ()):
+        if _rows_within(mixed.v, vocabulary_star):
+            if index is None:
+                index = _collision_index(ds.graphs())
+            candidates = index.get(_collision_key(mixed), ())
+        else:
+            candidates = ()
+        for i in candidates:
             g_train, y_train = items[i]
             if g_train.n > mixed.n:
                 continue

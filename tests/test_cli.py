@@ -208,6 +208,13 @@ class TestAuditAndIndependence:
         assert "trials:" in out
         assert "label collisions:" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_audit_rejects_trials_below_one(self, dataset_dir, trials, capsys):
+        assert run_command(["audit", dataset_dir, "SYN", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "trials" in captured.err
+        assert "verdict" not in captured.out
+
     def test_check_independence(self, dataset_dir, capsys):
         assert run_command(["check-independence", dataset_dir, "SYN"]) == 0
         out = capsys.readouterr().out

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ifmixup as m
+import ifmixup.graphs
 
 from conftest import graphs_equal, rand_one_hot_graph
 
@@ -374,6 +375,36 @@ class TestFeatureVocabulary:
         with pytest.raises(ValueError, match=r"graph 1: non-finite node feature at \(0, 1\): nan"):
             m.feature_vocabulary(ds)
 
+    @pytest.mark.parametrize(
+        "rows, declared, message",
+        [
+            ([[1.0, 0.0], [1.0, 0.0, 0.0, 1.0]], 3, "graph 0: feature width 2, but the dataset declares 3"),
+            ([[1.0, 0.0], [1.0, 0.0, 0.0]], 2, "graph 1: feature width 3, but the dataset declares 2"),
+        ],
+        ids=["widths-sum-to-declared", "one-width-off"],
+    )
+    def test_mixed_feature_widths_named(self, rows, declared, message):
+        # the first pair's six entries once read as two rows of width 3
+        graphs = [m.NodeFeaturedGraph(np.array([r]), np.zeros((1, 1))) for r in rows]
+        items = [(g, m.LabelDistribution.one_hot(0, 1)) for g in graphs]
+        with pytest.raises(ValueError, match=message):
+            m.feature_vocabulary(m.GraphDataset(items, 1, declared, "WIDTHS"))
+
+    def test_sign_twins_stay_apart_and_zero_twins_merge(self):
+        rows = np.array([[-1.0, 1.0], [1.0, -1.0], [0.0, 1.0], [-0.0, 1.0]])
+        fb = m.feature_vocabulary(self._one_graph_set(rows.tolist()))
+        assert fb.vocabulary.tolist() == [[-1.0, 1.0], [0.0, 1.0], [1.0, -1.0]]
+        assert not np.signbit(fb.vocabulary).any(where=fb.vocabulary == 0.0)
+        assert fb.coeffs[0][2].tobytes() == fb.coeffs[0][3].tobytes()
+
+    def test_row_hash_folds_sign_bits(self):
+        bits = np.array([[-1.0, 1.0], [1.0, -1.0]]).view(np.uint64)
+        weights = np.array([1, 3], dtype=np.uint64)
+        plain = bits @ weights
+        assert plain[0] == plain[1]  # a plain weighted sum of the bits gives one hash
+        hashes = ifmixup.graphs._row_hashes(bits, weights)
+        assert hashes[0] != hashes[1]
+
 
 def reference_vocabulary(ds: m.GraphDataset):
     """The vocabulary by ``np.unique(axis=0)`` and one coefficient solve per
@@ -425,6 +456,11 @@ def vocabulary_set(seed: int, negative_zeros: bool, exact: bool) -> m.GraphDatas
     return m.GraphDataset(items, 1, d, f"VOCAB-{seed}")
 
 
+def one_hash_for_all(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A stand-in for ``graphs._row_hashes`` under which every row clashes."""
+    return np.zeros(len(bits), dtype=np.uint64)
+
+
 class TestFeatureVocabularyAgainstReference:
     @staticmethod
     def same_bits(new: np.ndarray, ref: np.ndarray, negative_zeros: bool) -> bool:
@@ -446,6 +482,23 @@ class TestFeatureVocabularyAgainstReference:
             assert self.same_bits(new, ref, negative_zeros)
         # -0.0 and 0.0 are one row, stored as 0.0
         assert not np.signbit(fb.vocabulary_star[fb.vocabulary_star == 0.0]).any()
+
+    @pytest.mark.parametrize(
+        "hashes, block_rows",
+        [("constant", 4), ("constant", None), ("real", 4)],
+        ids=["clashing-small-blocks", "clashing-one-block", "small-blocks"],
+    )
+    @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negative-zeros"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equal_whatever_the_hash(self, seed, negative_zeros, hashes, block_rows, monkeypatch):
+        """test_equal_bit_for_bit with every row under one hash, so that
+        equality alone tells rows apart, and with blocks of a few rows, so
+        that rows meet the distinct rows of earlier blocks."""
+        if hashes == "constant":
+            monkeypatch.setattr(ifmixup.graphs, "_row_hashes", one_hash_for_all)
+        if block_rows is not None:
+            monkeypatch.setattr(ifmixup.graphs, "_DEDUP_BLOCK_ROWS", block_rows)
+        self.test_equal_bit_for_bit(seed, negative_zeros)
 
     @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negative-zeros"])
     @pytest.mark.parametrize("seed", range(40))

@@ -767,6 +767,11 @@ class TestIntrusionAudit:
         r2 = m.intrusion_audit(ds, 30, m.BetaParams(2, 2), np.random.default_rng(3))
         assert r1.to_text() == r2.to_text()
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_below_one_rejected(self, trials):
+        with pytest.raises(ValueError, match=rf"trials must be at least 1, got {trials}"):
+            m.intrusion_audit(self.build_ds(), trials, m.BetaParams(2, 2), np.random.default_rng(0))
+
 
 def scan_audit(ds: m.GraphDataset, trials: int, params: m.BetaParams, rng: np.random.Generator):
     """``intrusion_audit`` with the collision check as a scan over every
@@ -893,6 +898,95 @@ class TestCollisionIndex:
         # an isolated zero-feature node before a live one is not trailing
         h = m.permute_nodes(with_dummies(g, 1), np.array([5, 0, 1, 2, 3, 4]))
         assert key(h) != key(g)
+
+
+def audit_draws(ds: m.GraphDataset, trials: int, params: m.BetaParams, rng: np.random.Generator):
+    """The source pairs ``intrusion_audit`` draws from ``rng``, in its order."""
+    pairs = []
+    for _ in range(trials):
+        pairs.append((int(rng.integers(len(ds))), int(rng.integers(len(ds)))))
+        sample_decodable_lambda(params, rng)
+    return pairs
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so that every call appends its arguments to the returned list."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def constant_feature_set() -> m.GraphDataset:
+    """Every live node carries the feature row [1], so every mix of two
+    graphs of one size without dummy nodes has all its rows in V*; each
+    edge pattern is planted under both labels, and once more with a dummy
+    node."""
+    rng = np.random.default_rng(50)
+    y = [m.LabelDistribution.one_hot(k, 2) for k in (0, 1)]
+    items = []
+    for _ in range(5):
+        g = rand_one_hot_graph(rng, int(rng.integers(2, 5)), 1, edge_prob=0.5)
+        items += [(g, y[0]), (g, y[1]), (with_dummies(g, 1), y[int(rng.integers(2))])]
+    return m.GraphDataset(items, 2, 1, "CONSTANT")
+
+
+@st.composite
+def small_sets(draw) -> m.GraphDataset:
+    """2-6 graphs of 1-4 nodes with one-hot or zero features over 1-2
+    columns under two labels; about a third of the graphs repeat an
+    earlier one, sometimes with a dummy node or -0.0 zeros."""
+    d = draw(st.integers(1, 2))
+    items = []
+    for _ in range(draw(st.integers(2, 6))):
+        if items and not draw(st.integers(0, 2)):
+            g = draw(st.sampled_from(items))[0]
+            g = draw(st.sampled_from([g, with_dummies(g, 1), negative_zeros(g)]))
+        else:
+            g = draw(one_hot_graphs(d, max_n=4))
+        items.append((g, m.LabelDistribution.one_hot(draw(st.integers(0, 1)), 2)))
+    return m.GraphDataset(items, 2, d, "SMALL")
+
+
+class TestVocabularyStarFilter:
+    """Only a mix whose rows all lie in V* reaches the collision index."""
+
+    def test_constant_features_match_scan(self, monkeypatch):
+        ds, params = constant_feature_set(), m.BetaParams(2, 2)
+        builds = count_calls(monkeypatch, ifmixup.recovery, "_collision_index")
+        oracle = scan_audit(ds, 200, params, np.random.default_rng(6))
+        report = m.intrusion_audit(ds, 200, params, np.random.default_rng(6))
+        assert oracle.collisions > 0
+        assert report_fields(report) == report_fields(oracle)
+        assert len(builds) == 1  # built at the first mix in V*, and only then
+
+    def test_soft_mixes_never_reach_the_index(self, monkeypatch):
+        """Graph i's nodes all carry the one-hot row e_i, so a mix of two
+        different graphs has no row in V*."""
+        rng = np.random.default_rng(51)
+        d = 30
+        items = []
+        for i in range(d):
+            g = rand_one_hot_graph(rng, int(rng.integers(2, 6)), 1)
+            g = m.NodeFeaturedGraph(np.outer(g.v[:, 0], np.eye(d)[i]), g.e)
+            items.append((g, m.LabelDistribution.one_hot(i % 2, 2)))
+        ds, params = m.GraphDataset(items, 2, d, "SOFT"), m.BetaParams(2, 2)
+        assert all(ia != ib for ia, ib in audit_draws(ds, 20, params, np.random.default_rng(1)))
+        keys = count_calls(monkeypatch, ifmixup.recovery, "_collision_key")
+        report = m.intrusion_audit(ds, 20, params, np.random.default_rng(1))
+        assert report.ok() and not keys
+
+    @settings(max_examples=80)
+    @given(ds=small_sets(), seed=st.integers(0, 2**16))
+    def test_small_sets_match_scan(self, ds, seed):
+        params = m.BetaParams(2, 2)
+        oracle = scan_audit(ds, 20, params, np.random.default_rng(seed))
+        report = m.intrusion_audit(ds, 20, params, np.random.default_rng(seed))
+        assert report_fields(report) == report_fields(oracle)
 
 
 class TestSourceTailDummies:
