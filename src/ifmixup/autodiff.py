@@ -6,7 +6,7 @@ topological order and accumulates gradients into every tensor created with
 ``requires_grad=True``. Only the handful of operations needed by the graph
 models is implemented: affine maps, elementwise arithmetic, ReLU, sums,
 row slicing/concatenation, per-graph aggregation over a packed batch of
-graphs, and a numerically safe log/softmax for the cross-entropy head.
+graphs, and a numerically safe log-softmax for the cross-entropy head.
 
 Gradients accumulate across calls (the usual convention), so parameters that
 participate in several forward passes per step receive the summed gradient.
@@ -141,19 +141,6 @@ class Tensor:
             a._accumulate(full)
 
         return Tensor(a.value[start:stop], parents=(a,), backward=bw)
-
-    def softmax(self) -> "Tensor":
-        """Row-wise softmax (last axis), numerically shifted."""
-        a = self
-        shifted = a.value - a.value.max(axis=-1, keepdims=True)
-        ex = np.exp(shifted)
-        out = ex / ex.sum(axis=-1, keepdims=True)
-
-        def bw(g: np.ndarray) -> None:
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            a._accumulate(out * (g - inner))
-
-        return Tensor(out, parents=(a,), backward=bw)
 
     def log_softmax(self) -> "Tensor":
         """Row-wise log softmax via logsumexp; smooth, so gradients never

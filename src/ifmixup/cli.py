@@ -65,6 +65,7 @@ from .tudataset import (
 
 MIXED_NAME = "MIXED"
 _DATASET_KEYS = {"directory", "name", "encoding", "synthetic", "num_graphs", "seed"}
+_OVERRIDE_FLAGS = ("epochs", "seed", "runs", "folds")  # TrainConfig fields the flags override
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,23 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd, help_text in (
         ("train", "single split training run"),
         ("cv", "repeated stratified cross-validation"),
+        ("sweep", "cross-validate along one axis"),
     ):
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("config", help="JSON configuration document")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--runs", type=int, default=None)
-        p.add_argument("--folds", type=int, default=None)
+        if cmd == "sweep":
+            p.add_argument("--axis", choices=["beta", "layers"], required=True)
+        for flag in _OVERRIDE_FLAGS:
+            p.add_argument(f"--{flag}", type=int, default=None)
         p.add_argument("--out", default=None, help="output path prefix")
-
-    p = sub.add_parser("sweep", help="cross-validate along one axis")
-    p.add_argument("config")
-    p.add_argument("--axis", choices=["beta", "layers"], required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("plot", help="CSV + SVG from a metrics file, or 'beta' densities")
     p.add_argument("source", help="path to a metrics CSV, or the literal 'beta'")
@@ -300,21 +293,25 @@ def _dataset_from_config(doc: dict, config_path: str) -> GraphDataset:
     return load_dataset(ds_doc["directory"], ds_doc["name"], ds_doc.get("encoding"))
 
 
-def _train_config_from_doc(doc: dict, args) -> tuple[TrainConfig, str | None]:
-    body = {k: v for k, v in doc.items() if k not in ("dataset", "out")}
-    cfg = train_config_from_dict(body)
-    for flag in ("epochs", "seed", "runs", "folds"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg = replace(cfg, **{flag: value})
+def _load_run(args) -> tuple[GraphDataset, TrainConfig, str | None]:
+    """The dataset, config and output prefix of a train/cv/sweep command.
+
+    The flags override the document's fields; the output prefix's directory
+    is made here, so each command only writes its files under it.
+    """
+    doc = _read_config(args.config)
+    ds = _dataset_from_config(doc, args.config)
+    cfg = train_config_from_dict({k: v for k, v in doc.items() if k not in ("dataset", "out")})
+    overrides = {flag: getattr(args, flag) for flag in _OVERRIDE_FLAGS}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     out = args.out if args.out is not None else doc.get("out")
-    return cfg, out
+    if out:
+        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    return ds, cfg, out
 
 
 def _cmd_train(args) -> int:
-    doc = _read_config(args.config)
-    ds = _dataset_from_config(doc, args.config)
-    cfg, out = _train_config_from_doc(doc, args)
+    ds, cfg, out = _load_run(args)
 
     class_indices = [y.argmax() for y in ds.labels()]
     folds = stratified_folds(class_indices, cfg.folds, np.random.default_rng(cfg.seed))
@@ -331,7 +328,6 @@ def _cmd_train(args) -> int:
     params, log = train_single(train_items, val_items, cfg, derive_rng(cfg.seed, 0, 0), log_fn)
     print(f"final: loss={log.train_loss[-1]:.4f} val_acc={log.val_acc[-1]:.4f}")
     if out:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         metrics_to_csv(log, f"{out}_metrics.csv")
         save_checkpoint(params, f"{out}_checkpoint.json")
         print(f"wrote {out}_metrics.csv and {out}_checkpoint.json")
@@ -339,9 +335,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    doc = _read_config(args.config)
-    ds = _dataset_from_config(doc, args.config)
-    cfg, out = _train_config_from_doc(doc, args)
+    ds, cfg, out = _load_run(args)
     print(
         f"{cfg.runs} runs of {cfg.folds}-fold cross-validation on {ds.name} "
         f"({cfg.model.arch.upper()} K={cfg.model.k}, augment={cfg.augment.kind})"
@@ -353,16 +347,13 @@ def _cmd_cv(args) -> int:
     log = cross_validate(ds, cfg, log_fn)
     print(f"accuracy: {log.mean:.4f} +- {log.std:.4f} over {cfg.runs} runs")
     if out:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         summary_to_json(log, cfg, f"{out}_summary.json")
         print(f"wrote {out}_summary.json")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    doc = _read_config(args.config)
-    ds = _dataset_from_config(doc, args.config)
-    cfg, out = _train_config_from_doc(doc, args)
+    ds, cfg, out = _load_run(args)
     cells = sweep(ds, cfg, args.axis)
     rows = []
     for cell in cells:
@@ -370,7 +361,6 @@ def _cmd_sweep(args) -> int:
         print(f"{cell.label:<14} {cell.metrics.mean:.4f} +- {cell.metrics.std:.4f}")
         rows.append(SweepBarRow(ds.name, method, cell.label, cell.metrics.mean, cell.metrics.std))
     if out:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         csv_path, svg_path = emit_plot_data("sweep_bars", rows, out)
         print(f"wrote {csv_path} and {svg_path}")
     return 0

@@ -14,19 +14,21 @@ graphs with fractional edges flow through unchanged:
 
 Readout is the pooled (sum or mean) final layer for GCN and the
 concatenation of every layer's pooled embedding for GIN; a dense head with
-dropout on its logits and a softmax produce class probabilities. The loss
-is soft-label cross-entropy, linear in the target, so mixed labels plug in
-directly.
+dropout on its logits produces class logits. The loss is soft-label
+cross-entropy on their log-softmax, linear in the target, so mixed labels
+plug in directly; ``forward_classify`` reports probabilities as its exp.
 
 Forward passes are built on the :mod:`.autodiff` tape and always run on a
 packed batch (``pack_graphs``), the disjoint union of its graphs: one
 matrix of node rows, so the dense maps are one GEMM per batch, plus each
 graph's aggregation matrix zero-padded into a stack of graphs of similar
 size for ``autodiff.segment_matmul``. Readout is a constant (B x N) matrix
-on the node rows. ``forward_trace`` is that forward on a batch of one. The
-exact gradient of the batch-mean loss for every parameter, including the
-GIN eps scalars, comes from ``batch_gradients`` and ``model_gradients`` in
-:mod:`.training`.
+on the node rows. ``embed_batch`` is that forward, the one every caller
+runs: ``forward_trace`` on a batch of one, and ``batch_gradients`` and
+``evaluate`` in :mod:`.training` on whole batches, each followed by
+``head_logits``. The exact gradient of the batch-mean loss for every
+parameter, including the GIN eps scalars, comes from ``batch_gradients``
+and ``model_gradients``.
 """
 
 from __future__ import annotations
@@ -259,7 +261,6 @@ class TensorTrace:
     pooled: list[Tensor]
     h_graph: Tensor
     logits: Tensor
-    probs: Tensor
 
 
 def embed_batch(
@@ -303,19 +304,6 @@ def embed_batch(
     return embeddings, pooled, h_graph
 
 
-def forward_batch(
-    graphs: list[NodeFeaturedGraph],
-    wrapped: dict[str, Tensor],
-    params: ModelParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> TensorTrace:
-    """Run the configured stack on a packed batch, keeping intermediates on-tape."""
-    embeddings, pooled, h_graph = embed_batch(graphs, wrapped, params)
-    logits = apply_dropout(head_logits(h_graph, wrapped), params.config.dropout, training, rng)
-    return TensorTrace(embeddings, pooled, h_graph, logits, logits.softmax())
-
-
 def forward_trace(
     g: NodeFeaturedGraph,
     wrapped: dict[str, Tensor],
@@ -324,7 +312,9 @@ def forward_trace(
     rng: np.random.Generator | None = None,
 ) -> TensorTrace:
     """Run the configured stack on one graph: the packed forward on a batch of one."""
-    return forward_batch([g], wrapped, params, training, rng)
+    embeddings, pooled, h_graph = embed_batch([g], wrapped, params)
+    logits = apply_dropout(head_logits(h_graph, wrapped), params.config.dropout, training, rng)
+    return TensorTrace(embeddings, pooled, h_graph, logits)
 
 
 def head_logits(h_graph: Tensor, wrapped: dict[str, Tensor]) -> Tensor:
@@ -371,7 +361,7 @@ def forward_classify(
         pooled=[p.value.ravel() for p in t.pooled],
         h_graph=t.h_graph.value.ravel(),
         logits=t.logits.value.ravel(),
-        probs=t.probs.value.ravel(),
+        probs=np.exp(t.logits.log_softmax().value).ravel(),
     )
 
 

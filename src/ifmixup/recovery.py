@@ -26,11 +26,10 @@ as ``check_linear_independence``. ``recovery_mode`` says which mode a dataset
 admits, if either. The coefficients give the ratio when the edges leave it open.
 
 A dummy node is a trailing node whose features, edge row and edge column are
-exactly zero (-0.0 counts as zero); one backward scan finds them for
-``strip_dummy_nodes`` and the audit's collision index alike. ``recover_pair``
-strips them, which inverts the padding applied before mixing; a source's own
-dummy nodes go too, since the mix cannot tell them from padding, so a decode
-is correct up to such nodes (``RecoveredPair.matches``).
+exactly zero (-0.0 counts as zero). ``recover_pair`` strips them with
+``strip_dummy_nodes``, which inverts the padding applied before mixing; a
+source's own dummy nodes go too, since the mix cannot tell them from
+padding, so a decode is correct up to such nodes (``RecoveredPair.matches``).
 """
 
 from __future__ import annotations
@@ -334,20 +333,14 @@ def _infer_ratio_from_features(v_mixed: np.ndarray, basis: FeatureBasis, mode: s
     return _mixing_ratio(coeff.ravel(), "feature coefficient")
 
 
-def _live_nodes(g: NodeFeaturedGraph) -> int:
-    """The node count of ``g`` without its trailing dummy nodes (features,
-    edge row and edge column exactly zero), by a backward scan that stops at
-    the first live node."""
+def strip_dummy_nodes(g: NodeFeaturedGraph) -> NodeFeaturedGraph:
+    """Remove trailing dummy nodes (inverts pad_graph): a backward scan that
+    stops at the first node whose features, edge row or edge column is not
+    exactly zero."""
     v, e, n = g.v, g.e, g.n
     while n and not (v[n - 1].any() or e[n - 1].any() or e[:, n - 1].any()):
         n -= 1
-    return n
-
-
-def strip_dummy_nodes(g: NodeFeaturedGraph) -> NodeFeaturedGraph:
-    """Remove trailing dummy nodes (inverts pad_graph)."""
-    n = _live_nodes(g)
-    return g if n == g.n else NodeFeaturedGraph(g.v[:n].copy(), g.e[:n, :n].copy())
+    return g if n == g.n else NodeFeaturedGraph(v[:n].copy(), e[:n, :n].copy())
 
 
 def recover_pair(
@@ -416,31 +409,11 @@ class IntrusionAuditReport:
         return "\n".join(lines)
 
 
-def _collision_key(g: NodeFeaturedGraph) -> int:
-    """A hash of ``g`` without its trailing dummy nodes, equal for any two
-    graphs that are equal entry by entry once padded to a common size.
-
-    Adding 0.0 turns -0.0 into 0.0, so graphs that compare equal as floats
-    hash their bytes alike.
-    """
-    n = _live_nodes(g)
-    return hash((n, g.d, (g.v[:n] + 0.0).tobytes(), (g.e[:n, :n] + 0.0).tobytes()))
-
-
 def _rows_within(v: np.ndarray, rows: set[bytes]) -> bool:
     """Whether every row of ``v``, compared as floats, is one of ``rows``
     (the bytes of rows with -0.0 stored as 0.0)."""
     data, width = (v + 0.0).tobytes(), v.itemsize * v.shape[1]
     return all(data[k * width : (k + 1) * width] in rows for k in range(v.shape[0]))
-
-
-def _collision_index(graphs: list[NodeFeaturedGraph]) -> dict[int, list[int]]:
-    """The graphs by ``_collision_key``: each key to the indices of the
-    graphs with that key."""
-    index: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        index.setdefault(_collision_key(g), []).append(i)
-    return index
 
 
 def intrusion_audit(
@@ -467,12 +440,9 @@ def intrusion_audit(
     rounds onto one of its rows, so a mix passes this filter only when its
     sources' features agree node by node, or nearly so.
 
-    The other mixes are looked up in an exact-verified hash index, built at
-    the first of them and at most once per call: it maps the hash of each
-    training graph without its trailing dummy nodes to the graphs with that
-    hash, so a trial compares the mix only with the graphs under its own
-    hash. Each such candidate is checked exactly, padded to the mix's size,
-    so a hash clash can neither create nor hide a collision.
+    The other mixes are compared exactly with every training graph no
+    larger than the mix, padded to the mix's size, up to the first one that
+    equals it under a different label.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -487,7 +457,6 @@ def intrusion_audit(
     report = IntrusionAuditReport(ds.name, trials, mode, assumption_ok=True)
     items = ds.items
     vocabulary_star = {row.tobytes() for row in basis.vocabulary_star + 0.0}
-    index: dict[int, list[int]] | None = None
     for trial in range(trials):
         ia, ib = int(rng.integers(len(items))), int(rng.integers(len(items)))
         lam = sample_decodable_lambda(params, rng)
@@ -496,14 +465,8 @@ def intrusion_audit(
         mixed = mix_pair(ga, gb, lam)
         mixed_label = mix_labels(ya, yb, lam)
 
-        if _rows_within(mixed.v, vocabulary_star):
-            if index is None:
-                index = _collision_index(ds.graphs())
-            candidates = index.get(_collision_key(mixed), ())
-        else:
-            candidates = ()
-        for i in candidates:
-            g_train, y_train = items[i]
+        candidates = items if _rows_within(mixed.v, vocabulary_star) else ()
+        for g_train, y_train in candidates:
             if g_train.n > mixed.n:
                 continue
             padded = pad_graph(g_train, mixed.n)

@@ -42,7 +42,6 @@ from .models import (
     apply_dropout,
     cross_entropy_t,
     embed_batch,
-    forward_batch,
     head_logits,
     init_params,
     wrap_params,
@@ -355,10 +354,12 @@ class NonFiniteLossError(FloatingPointError):
 def evaluate(
     params: ModelParams, items: list[tuple[NodeFeaturedGraph, LabelDistribution]]
 ) -> float:
-    """Fraction of items whose argmax prediction matches the argmax label.
+    """Fraction of items whose predicted class matches the argmax label.
 
-    Graphs run as packed forwards of at most ``EVAL_ROWS`` node rows (a
-    larger graph runs alone), taken in order of node count so that each
+    The prediction is the first maximum of the head's logits, which is the
+    class of highest probability without computing any probability. Graphs
+    run through ``embed_batch`` in chunks of at most ``EVAL_ROWS`` node rows
+    (a larger graph runs alone), taken in order of node count so that each
     chunk holds graphs of similar size. Ties break toward the lower class
     index on both sides (first maximum).
     """
@@ -374,8 +375,9 @@ def evaluate(
         rows += item[0].n
     hits = 0
     for chunk in chunks:
-        probs = forward_batch([g for g, _ in chunk], wrapped, params).probs.value
-        hits += sum(int(np.argmax(p)) == y.argmax() for p, (_, y) in zip(probs, chunk))
+        h_graph = embed_batch([g for g, _ in chunk], wrapped, params)[2]
+        logits = head_logits(h_graph, wrapped).value
+        hits += sum(int(np.argmax(row)) == y.argmax() for row, (_, y) in zip(logits, chunk))
     return hits / len(items)
 
 
@@ -427,6 +429,8 @@ def stratified_folds(
     that runs on across classes, so both the per-class and the overall fold
     sizes stay balanced.
     """
+    if k < 1:
+        raise ValueError(f"need at least one fold, got k={k}")
     labels = np.asarray(class_indices)
     if labels.size < k:
         raise ValueError(f"cannot make {k} folds from {labels.size} samples")
@@ -563,11 +567,15 @@ def train_config_from_dict(doc: dict) -> TrainConfig:
     augment_doc = dict(doc.pop("augment", {}))
     beta = augment_doc.pop("beta", None)
     if beta is not None:
-        if isinstance(beta, dict):
-            beta = BetaParams(float(beta["alpha"]), float(beta["beta"]))
-        else:
-            beta = BetaParams(float(beta[0]), float(beta[1]))
-        augment_doc["beta"] = beta
+        try:
+            alpha, b = (beta["alpha"], beta["beta"]) if isinstance(beta, dict) else beta
+            alpha, b = float(alpha), float(b)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(
+                f"bad training config: augment.beta must be [alpha, beta] or "
+                f'{{"alpha": a, "beta": b}}, got {beta!r}'
+            ) from None
+        augment_doc["beta"] = BetaParams(alpha, b)
     try:
         model = ModelConfig(**model_doc)
         augment = AugmentSpec(**augment_doc)

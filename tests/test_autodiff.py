@@ -128,14 +128,6 @@ class TestSegmentMatmul:
 
 
 class TestSoftmaxFamily:
-    def test_softmax_rows_sum_to_one(self):
-        t = constant(RNG.normal(size=(4, 6))).softmax()
-        assert np.allclose(t.value.sum(axis=1), 1.0)
-
-    def test_softmax_grad(self):
-        w = constant(RNG.normal(size=(2, 5)))
-        check_op(lambda p: (p.softmax() * w).sum(), RNG.normal(size=(2, 5)))
-
     def test_log_softmax_grad(self):
         w = constant(RNG.normal(size=(2, 5)))
         check_op(lambda p: (p.log_softmax() * w).sum(), RNG.normal(size=(2, 5)))
@@ -143,7 +135,8 @@ class TestSoftmaxFamily:
     def test_log_softmax_matches_log_of_softmax(self):
         x = RNG.normal(size=(3, 4))
         a = constant(x).log_softmax().value
-        b = np.log(constant(x).softmax().value)
+        ex = np.exp(x)
+        b = np.log(ex / ex.sum(axis=1, keepdims=True))
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_log_softmax_stable_at_extremes(self):

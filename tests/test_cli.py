@@ -263,6 +263,11 @@ class TestTrain:
         assert run_command(["train", config]) == 1
         assert "bad training config" in capsys.readouterr().err
 
+    def test_malformed_beta(self, tmp_path, capsys):
+        config = tiny_config(tmp_path, augment={"kind": "if_mixup", "beta": [20]})
+        assert run_command(["train", config]) == 1
+        assert any(line.startswith("error: bad training config") for line in capsys.readouterr().err.splitlines())
+
     def test_unknown_dataset_key(self, tmp_path, capsys):
         config = tiny_config(tmp_path, dataset={"synthetic": True, "fraction": 0.5})
         assert run_command(["train", config]) == 1

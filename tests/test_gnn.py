@@ -9,7 +9,7 @@ import ifmixup as m
 from ifmixup.autodiff import constant, parameter
 from ifmixup.models import (
     cross_entropy_t,
-    forward_batch,
+    embed_batch,
     forward_trace,
     gcn_layer_t,
     gin_layer_t,
@@ -149,13 +149,14 @@ class TestPackGraphs:
         params = m.init_params(cfg, 3, 2, np.random.default_rng(31))
         wrapped = wrap_params(params, requires_grad=False)
         graphs = self.graphs()
-        batch = forward_batch(graphs, wrapped, params)
+        embeddings, _, h_graph = embed_batch(graphs, wrapped, params)
+        logits = head_logits(h_graph, wrapped)
         start = 0
         for i, g in enumerate(graphs):
             alone = forward_trace(g, wrapped, params)
-            for packed_h, alone_h in zip(batch.embeddings, alone.embeddings):
+            for packed_h, alone_h in zip(embeddings, alone.embeddings):
                 assert np.max(np.abs(packed_h.value[start : start + g.n] - alone_h.value)) < 1e-12
-            assert np.max(np.abs(batch.probs.value[i] - alone.probs.value[0])) < 1e-12
+            assert np.max(np.abs(logits.value[i] - alone.logits.value[0])) < 1e-12
             start += g.n
 
 
@@ -203,6 +204,17 @@ class TestForwardClassify:
             probs = m.forward_classify(g, params).probs
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3], ids=["plain", "saturated"])
+    def test_probs_are_exp_of_log_softmax(self, scale):
+        params = m.init_params(m.ModelConfig(arch="gin", k=2, hidden=6), 4, 3, np.random.default_rng(9))
+        params.tensors["head.W"] *= scale
+        g = rand_one_hot_graph(np.random.default_rng(10), 6, 4)
+        trace = m.forward_classify(g, params)
+        shifted = trace.logits - trace.logits.max()
+        log_softmax = shifted - np.log(np.exp(shifted).sum())
+        assert np.max(np.abs(trace.probs - np.exp(log_softmax))) < 1e-12
+        assert abs(trace.probs.sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("arch", ["gcn", "gin"])
     def test_permutation_invariance_spot(self, arch):
@@ -316,7 +328,7 @@ class TestSoftCrossEntropy:
     def test_tape_loss_matches_numpy_value(self):
         y = m.LabelDistribution(np.array([0.2, 0.5, 0.3]))
         logits = np.array([[0.4, -1.2, 2.0]])
-        probs = constant(logits).softmax().value.ravel()
+        probs = (np.exp(logits) / np.exp(logits).sum()).ravel()
         tape_val = float(cross_entropy_t(y, constant(logits)).value)
         assert tape_val == pytest.approx(m.soft_cross_entropy(y, probs), abs=1e-12)
 
@@ -324,7 +336,7 @@ class TestSoftCrossEntropy:
         y = m.LabelDistribution(np.array([0.2, 0.5, 0.3]))
         logits = parameter(np.array([[0.4, -1.2, 2.0]]))
         cross_entropy_t(y, logits).backward()
-        probs = constant(logits.value).softmax().value
+        probs = np.exp(logits.value) / np.exp(logits.value).sum()
         assert np.max(np.abs(logits.grad - (probs - y.p))) < 1e-12
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -517,13 +518,11 @@ class TestRecoverPair:
         assert graphs_equal(m.strip_dummy_nodes(g), g)
 
     def test_dummy_features_are_exactly_zero(self):
-        # a trailing isolated node with features within DEFAULT_TOL of zero
-        # is live: the collision index and strip_dummy_nodes agree on it
+        # a trailing isolated node with features within DEFAULT_TOL of zero is live
         g = rand_one_hot_graph(np.random.default_rng(13), 4, 3)
         tail = m.pad_graph(g, 5)
         tail.v[4, 0] = 1e-12
         assert m.strip_dummy_nodes(tail).n == 5
-        assert ifmixup.recovery._collision_key(tail) != ifmixup.recovery._collision_key(g)
 
     def test_feature_coefficient_above_one_rejected(self):
         # binary edges leave the ratio to the features, whose coefficient 2
@@ -627,14 +626,6 @@ class TestRoundTripProperties:
         with pytest.raises(RecoveryError, match=message):
             m.recover_pair(mixed, two_graph_basis(a, b))
 
-    @settings(max_examples=200)
-    @given(g=one_hot_graphs(3), dummies=st.integers(0, 3), signed=st.booleans())
-    def test_collision_key_ignores_dummies(self, g, dummies, signed):
-        g = m.pad_graph(g, g.n + dummies)
-        if signed:
-            g = negative_zeros(g)
-        key = ifmixup.recovery._collision_key
-        assert key(g) == key(m.strip_dummy_nodes(g))
 
 
 def dependent_vocabulary_dataset() -> m.GraphDataset:
@@ -775,7 +766,7 @@ class TestIntrusionAudit:
 
 def scan_audit(ds: m.GraphDataset, trials: int, params: m.BetaParams, rng: np.random.Generator):
     """``intrusion_audit`` with the collision check as a scan over every
-    training graph, padded to the mix's size: the oracle for the index."""
+    training graph, padded to the mix's size: the oracle for the V* filter."""
     basis = m.feature_vocabulary(ds)
     mode = recovery_mode(basis)
     report = m.IntrusionAuditReport(ds.name, trials, mode, assumption_ok=mode is not None)
@@ -882,23 +873,6 @@ class TestCollisionIndex:
         report = m.intrusion_audit(ds, 60, m.BetaParams(2, 2), np.random.default_rng(4))
         assert report.mode == "basis" and report_fields(report) == report_fields(oracle)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_hash_clash_creates_no_collision(self, seed, monkeypatch):
-        """Every graph under one key: the exact check alone decides."""
-        ds = planted_collision_set(seed)
-        oracle = scan_audit(ds, 100, m.BetaParams(2, 2), np.random.default_rng(seed))
-        monkeypatch.setattr(ifmixup.recovery, "_collision_key", lambda g: 0)
-        report = m.intrusion_audit(ds, 100, m.BetaParams(2, 2), np.random.default_rng(seed))
-        assert report_fields(report) == report_fields(oracle)
-
-    def test_key_ignores_padding_and_zero_sign(self):
-        key = ifmixup.recovery._collision_key
-        g = rand_one_hot_graph(np.random.default_rng(31), 5, 3)
-        assert key(g) == key(with_dummies(g, 3)) == key(negative_zeros(g))
-        # an isolated zero-feature node before a live one is not trailing
-        h = m.permute_nodes(with_dummies(g, 1), np.array([5, 0, 1, 2, 3, 4]))
-        assert key(h) != key(g)
-
 
 def audit_draws(ds: m.GraphDataset, trials: int, params: m.BetaParams, rng: np.random.Generator):
     """The source pairs ``intrusion_audit`` draws from ``rng``, in its order."""
@@ -909,16 +883,16 @@ def audit_draws(ds: m.GraphDataset, trials: int, params: m.BetaParams, rng: np.r
     return pairs
 
 
-def count_calls(monkeypatch, owner, name: str) -> list:
-    """Wrap ``owner.name`` so that every call appends its arguments to the returned list."""
-    calls, fn = [], getattr(owner, name)
+def record_callers(monkeypatch, owner, name: str) -> list[str]:
+    """Wrap ``owner.name`` so that every call appends the calling function's name to the returned list."""
+    callers, fn = [], getattr(owner, name)
 
-    def counted(*args):
-        calls.append(args)
+    def recorded(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
         return fn(*args)
 
-    monkeypatch.setattr(owner, name, counted)
-    return calls
+    monkeypatch.setattr(owner, name, recorded)
+    return callers
 
 
 def constant_feature_set() -> m.GraphDataset:
@@ -953,18 +927,16 @@ def small_sets(draw) -> m.GraphDataset:
 
 
 class TestVocabularyStarFilter:
-    """Only a mix whose rows all lie in V* reaches the collision index."""
+    """Only a mix whose rows all lie in V* reaches the exact check."""
 
-    def test_constant_features_match_scan(self, monkeypatch):
+    def test_constant_features_match_scan(self):
         ds, params = constant_feature_set(), m.BetaParams(2, 2)
-        builds = count_calls(monkeypatch, ifmixup.recovery, "_collision_index")
         oracle = scan_audit(ds, 200, params, np.random.default_rng(6))
         report = m.intrusion_audit(ds, 200, params, np.random.default_rng(6))
         assert oracle.collisions > 0
         assert report_fields(report) == report_fields(oracle)
-        assert len(builds) == 1  # built at the first mix in V*, and only then
 
-    def test_soft_mixes_never_reach_the_index(self, monkeypatch):
+    def test_soft_mixes_never_reach_the_exact_check(self, monkeypatch):
         """Graph i's nodes all carry the one-hot row e_i, so a mix of two
         different graphs has no row in V*."""
         rng = np.random.default_rng(51)
@@ -976,9 +948,10 @@ class TestVocabularyStarFilter:
             items.append((g, m.LabelDistribution.one_hot(i % 2, 2)))
         ds, params = m.GraphDataset(items, 2, d, "SOFT"), m.BetaParams(2, 2)
         assert all(ia != ib for ia, ib in audit_draws(ds, 20, params, np.random.default_rng(1)))
-        keys = count_calls(monkeypatch, ifmixup.recovery, "_collision_key")
+        callers = record_callers(monkeypatch, ifmixup.graphs, "pad_graph")
         report = m.intrusion_audit(ds, 20, params, np.random.default_rng(1))
-        assert report.ok() and not keys
+        assert report.ok() and "pad_pair" in callers  # mix_pair pads through the wrapper
+        assert "intrusion_audit" not in callers
 
     @settings(max_examples=80)
     @given(ds=small_sets(), seed=st.integers(0, 2**16))

@@ -266,6 +266,11 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="cannot make"):
             m.stratified_folds([0, 1], 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_fold_count_below_one_named(self, k):
+        with pytest.raises(ValueError, match=f"need at least one fold, got k={k}"):
+            m.stratified_folds([0, 1, 0, 1], k, np.random.default_rng(0))
+
 
 class TestEpochStream:
     def spec(self, kind, **kw):
@@ -536,17 +541,27 @@ class TestEvaluate:
         sizes = [EVAL_ROWS + 1, 60] + [int(rng.integers(1, 8)) for _ in range(EVAL_ROWS // 3)]
         items = [(rand_one_hot_graph(rng, n, 4, 0.01), m.LabelDistribution.one_hot(0, 2)) for n in sizes]
         chunks = []
-        packed_forward = ifmixup.training.forward_batch
+        packed_forward = ifmixup.training.embed_batch
 
         def recording(graphs, wrapped, params):
             chunks.append([g.n for g in graphs])
             return packed_forward(graphs, wrapped, params)
 
-        monkeypatch.setattr(ifmixup.training, "forward_batch", recording)
+        monkeypatch.setattr(ifmixup.training, "embed_batch", recording)
         m.evaluate(params, items)
         assert [n for chunk in chunks for n in chunk] == sorted(sizes)
         assert all(sum(chunk) <= EVAL_ROWS for chunk in chunks[:-1])
         assert chunks[-1] == [EVAL_ROWS + 1]  # a graph over the budget runs alone
+
+    def test_predicts_first_maximum_of_logits(self, tiny_dataset):
+        params = m.init_params(m.ModelConfig(arch="gcn", k=1, hidden=2), 5, 2, np.random.default_rng(12))
+        params.tensors["head.W"][:] = 0.0
+        params.tensors["head.b"][:] = [0.0, 1e-17]  # both probabilities round to 0.5
+        items = [(g, m.LabelDistribution.one_hot(1, 2)) for g, _ in tiny_dataset.items]
+        traces = [m.forward_classify(g, params) for g, _ in items]
+        assert all(np.array_equal(t.probs, [0.5, 0.5]) for t in traces)
+        hits = sum(int(np.argmax(t.logits)) == y.argmax() for t, (_, y) in zip(traces, items))
+        assert m.evaluate(params, items) == hits / len(items) == 1.0
 
     def test_ties_break_to_lower_class(self, tiny_dataset):
         params = m.init_params(m.ModelConfig(arch="gcn", k=1, hidden=2), 5, 2, np.random.default_rng(12))
@@ -779,3 +794,8 @@ class TestSerialization:
     def test_config_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="bad training config"):
             m.train_config_from_dict({"momentum": 0.9})
+
+    @pytest.mark.parametrize("beta", [[20], 5, {"alpha": 1}], ids=["one-entry", "number", "no-beta-key"])
+    def test_config_from_dict_rejects_malformed_beta(self, beta):
+        with pytest.raises(ValueError, match="bad training config: augment.beta"):
+            m.train_config_from_dict({"augment": {"kind": "if_mixup", "beta": beta}})
