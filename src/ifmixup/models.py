@@ -48,6 +48,14 @@ CHECKPOINT_FORMAT = "ifmixup-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
+def require_integers(config, names: tuple[str, ...]) -> None:
+    """Reject a count field of ``config`` that is not an integer (bools included)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters shared by init, forward and training."""
@@ -62,6 +70,7 @@ class ModelConfig:
     gin_mlp_bias: bool = True
 
     def __post_init__(self) -> None:
+        require_integers(self, ("k", "hidden", "gin_mlp_depth"))
         if self.arch not in ("gcn", "gin"):
             raise ValueError(f"arch must be 'gcn' or 'gin', got {self.arch!r}")
         if self.k < 1:

@@ -7,6 +7,9 @@ against itself shifted by one, draws one lambda per pair, and the mixed
 samples replace the originals for that epoch; the drop variants perturb
 every graph freshly; the readout/manifold mixing variants defer the actual
 interpolation to the forward pass so gradients flow through both sources.
+One rule builds every sample's head input: a 0/1 selector over the K layers
+(the manifold-mix layer, or what the readout keeps) masks the mix of the two
+sides' pooled rows at each layer.
 
 Each training step is one packed forward and backward over the whole batch
 (two forwards when it holds deferred pairs: all A sides, then all B sides),
@@ -27,7 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .augment import AugmentSpec
-from .autodiff import Tensor, constant
+from .autodiff import Tensor, concat, constant
 from .graphs import (
     GraphDataset,
     LabelDistribution,
@@ -44,6 +47,7 @@ from .models import (
     embed_batch,
     head_logits,
     init_params,
+    require_integers,
     wrap_params,
 )
 from .augment import drop_edge, drop_node
@@ -86,6 +90,7 @@ class TrainConfig:
     audit_mixes: bool = False  # resample-guard lambda and validate each mix
 
     def __post_init__(self) -> None:
+        require_integers(self, ("epochs", "folds", "runs", "batch_size", "seed"))
         for name in ("epochs", "folds", "runs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -249,43 +254,31 @@ def build_epoch_stream(
 
 
 def _mixed_rows(
-    batch: list[EpochSample],
-    side_a: tuple[list[Tensor], list[Tensor], Tensor],
-    side_b: tuple[list[Tensor], list[Tensor], Tensor],
-    cfg: ModelConfig,
+    batch: list[EpochSample], pooled_a: list[Tensor], pooled_b: list[Tensor], cfg: ModelConfig
 ) -> Tensor:
-    """Each sample's head input, lam * A + (1 - lam) * B at its mixing point.
+    """Each sample's head input, from one 0/1 selector over the K layers.
 
-    A readout mix mixes ``h_graph``. A manifold mix at layer k mixes
-    ``pooled[k-1]``: for GIN the mixed row fills layer k's block of an
-    otherwise zero ``h_graph`` row, which is exactly what
-    ``head_logits_layer_block`` feeds the head; for GCN it takes the place
-    of ``h_graph``. A plain sample is the pair (g, g) at lam = 1. The sides
-    are ``embed_batch`` results, row i for sample i.
+    A manifold mix at layer k selects layer k. A readout mix selects what
+    the readout keeps: every layer for GIN, the last for GCN; a plain sample
+    is the pair (g, g) at lam = 1. Layer l gives
+    ``lam * pooled_a[l] + (1 - lam) * pooled_b[l]`` masked by selector column
+    l. GIN concatenates the masked parts into their blocks, as
+    ``embed_batch`` builds ``h_graph``; GCN sums them over the layers that
+    any sample selects. The pooled lists come from ``embed_batch``, row i
+    for sample i.
     """
     lam = np.array([[1.0 if s.pair is None else float(s.lam)] for s in batch])
-
-    def mix(a: Tensor, b: Tensor) -> Tensor:
-        return a * constant(lam) + b * constant(1.0 - lam)
-
-    (_, pooled_a, h_a), (_, pooled_b, h_b) = side_a, side_b
-    layers = [s.layer for s in batch]
-    if all(layer is None for layer in layers):
-        return mix(h_a, h_b)
-    if cfg.arch == "gin":
-        mask = np.ones(h_a.shape)
-        for row, layer in zip(mask, layers):
-            if layer is not None:
-                row[:] = 0.0
-                row[(layer - 1) * cfg.hidden : layer * cfg.hidden] = 1.0
-        return mix(h_a, h_b) * constant(mask)
-    picks = np.array([cfg.k if layer is None else layer for layer in layers])
-    rows: Tensor | None = None
-    for layer in np.unique(picks):
-        part = mix(pooled_a[layer - 1], pooled_b[layer - 1])
-        part = part * constant((picks == layer).astype(np.float64)[:, None])
-        rows = part if rows is None else rows + part
-    return rows
+    select = np.zeros((len(batch), cfg.k))
+    readout = slice(None) if cfg.arch == "gin" else slice(cfg.k - 1, None)
+    for row, s in zip(select, batch):
+        row[readout if s.layer is None else s.layer - 1] = 1.0
+    parts = [
+        (pooled_a[i] * constant(lam) + pooled_b[i] * constant(1.0 - lam))
+        * constant(select[:, i : i + 1])
+        for i in range(cfg.k)
+        if cfg.arch == "gin" or select[:, i].any()
+    ]
+    return concat(parts, axis=1) if cfg.arch == "gin" else sum(parts[1:], parts[0])
 
 
 def batch_gradients(
@@ -298,23 +291,29 @@ def batch_gradients(
     The batch runs on one tape: one packed forward over the samples' graphs
     (the A sides of deferred pairs), plus one over the B sides when any
     sample is a deferred pair (a plain sample in such a batch runs again as
-    its own B side). The source passes run without dropout; one dropout
-    draw of shape (B x C) masks the logits after the dense layer, row i for
-    sample i, as B draws of (1 x C) would.
+    its own B side). ``_mixed_rows`` then builds every sample's head input
+    by one rule, so each sample's loss is the one it has alone. The source
+    passes run without dropout; one dropout draw of shape (B x C) masks the
+    logits after the dense layer, row i for sample i, as B draws of (1 x C)
+    would. Only a deferred pair may carry a manifold-mix layer.
     """
     if not batch:
         raise ValueError("gradients need a nonempty batch")
     cfg = params.config
-    for sample in batch:
-        if sample.layer is not None and not 1 <= sample.layer <= cfg.k:
-            raise ValueError(f"manifold-mix layer {sample.layer} outside 1..{cfg.k}")
+    for i, sample in enumerate(batch):
+        if sample.layer is None:
+            continue
+        if sample.pair is None:
+            raise ValueError(f"sample {i} is a plain graph but carries manifold-mix layer {sample.layer}")
+        if not 1 <= sample.layer <= cfg.k:
+            raise ValueError(f"sample {i}: manifold-mix layer {sample.layer} outside 1..{cfg.k}")
     wrapped = wrap_params(params, requires_grad=True)
     side_a = embed_batch([s.g if s.pair is None else s.pair[0] for s in batch], wrapped, params)
     if all(s.pair is None for s in batch):
         h = side_a[2]
     else:
         side_b = embed_batch([s.g if s.pair is None else s.pair[1] for s in batch], wrapped, params)
-        h = _mixed_rows(batch, side_a, side_b, cfg)
+        h = _mixed_rows(batch, side_a[1], side_b[1], cfg)
     logits = apply_dropout(head_logits(h, wrapped), cfg.dropout, training=True, rng=rng)
     loss = cross_entropy_t([s.y for s in batch], logits).scale(1.0 / len(batch))
     loss.backward()
@@ -563,6 +562,9 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 def train_config_from_dict(doc: dict) -> TrainConfig:
     """Build a TrainConfig from a parsed JSON document; unknown keys rejected."""
     doc = dict(doc)
+    for key in ("model", "augment"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ValueError(f"bad training config: {key} must be an object, got {doc[key]!r}")
     model_doc = dict(doc.pop("model", {}))
     augment_doc = dict(doc.pop("augment", {}))
     beta = augment_doc.pop("beta", None)

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestStats:
     def test_json_output(self, dataset_dir, tmp_path, capsys):
         json_path = str(tmp_path / "stats.json")
         assert run_command(["stats", dataset_dir, "SYN", "--json", json_path]) == 0
-        doc = json.loads(open(json_path).read())
+        doc = json.loads(Path(json_path).read_text())
         assert doc["num_graphs"] == 12
         assert doc["num_classes"] == 2
 
@@ -121,7 +122,7 @@ class TestMixRecover:
         out = str(tmp_path / "mixed")
         os.makedirs(out)
         run_command(["mix", dataset_dir, "SYN", "--seed", "1", "--out", out])
-        meta = json.loads(open(os.path.join(out, "MIXED_meta.json")).read())
+        meta = json.loads(Path(out, "MIXED_meta.json").read_text())
         assert meta["format"] == "ifmixup-mixed-sample"
         assert 0.0 < meta["lam"] < 1.0
         assert len(meta["source_indices"]) == 2
@@ -268,6 +269,23 @@ class TestTrain:
         assert run_command(["train", config]) == 1
         assert any(line.startswith("error: bad training config") for line in capsys.readouterr().err.splitlines())
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"model": 5}, "model must be an object"),
+            ({"augment": [1]}, "augment must be an object"),
+            ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+            ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+            ({"model": {"arch": "gin", "k": 2.0, "hidden": 4}}, "k must be an integer, got 2.0"),
+        ],
+        ids=["model-number", "augment-list", "float-epochs", "float-batch-size", "float-k"],
+    )
+    def test_malformed_config_field(self, tmp_path, capsys, overrides, message):
+        config = tiny_config(tmp_path, **overrides)
+        assert run_command(["train", config]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and message in errors[0]
+
     def test_unknown_dataset_key(self, tmp_path, capsys):
         config = tiny_config(tmp_path, dataset={"synthetic": True, "fraction": 0.5})
         assert run_command(["train", config]) == 1
@@ -280,7 +298,7 @@ class TestCvAndSweep:
         out = str(tmp_path / "cv" / "run")
         assert run_command(["cv", config, "--out", out]) == 0
         assert "accuracy:" in capsys.readouterr().out
-        doc = json.loads(open(f"{out}_summary.json").read())
+        doc = json.loads(Path(f"{out}_summary.json").read_text())
         assert len(doc["fold_acc"]) == 3  # runs x folds = 1 x 3
         assert 0.0 <= doc["mean"] <= 1.0
 
@@ -288,7 +306,7 @@ class TestCvAndSweep:
         config = tiny_config(tmp_path, epochs=3, weight_decay=0.05, audit_mixes=True)
         out = str(tmp_path / "cv" / "override")
         assert run_command(["cv", config, "--epochs", "1", "--out", out]) == 0
-        echoed = json.loads(open(f"{out}_summary.json").read())["config"]
+        echoed = json.loads(Path(f"{out}_summary.json").read_text())["config"]
         assert echoed["epochs"] == 1
         assert echoed["weight_decay"] == 0.05 and echoed["audit_mixes"] is True
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ifmixup as m
 import ifmixup.training
@@ -210,6 +213,21 @@ class TestTrainConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             m.TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "config,name",
+        [(m.TrainConfig, name) for name in ("epochs", "folds", "runs", "batch_size", "seed")]
+        + [(m.ModelConfig, name) for name in ("k", "hidden", "gin_mlp_depth")],
+    )
+    @pytest.mark.parametrize("value", [2.0, True], ids=["float", "bool"])
+    def test_non_integer_count_rejected(self, config, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            config(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        model = m.ModelConfig(k=np.int64(3), hidden=np.int32(4), gin_mlp_depth=np.int64(1))
+        cfg = m.TrainConfig(model=model, epochs=np.int64(2), batch_size=np.int32(8), seed=np.int64(5))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed, model.k) == (2, 8, 5, 3)
 
     def test_grid_matches_protocol(self):
         grid = m.HYPERPARAMETER_GRID
@@ -431,6 +449,37 @@ class TestBatchGradients:
         sample = EpochSample(y=y, pair=(ga, gb), lam=lam, layer=layer)
         with pytest.raises(ValueError, match=rf"layer {layer} outside 1\.\.3"):
             batch_gradients([sample], params, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("arch", ["gcn", "gin"])
+    @pytest.mark.parametrize("with_pair", [False, True], ids=["all-plain", "with-pair"])
+    def test_plain_sample_with_layer_rejected(self, tiny_dataset, arch, with_pair):
+        params, ga, gb, lam, y = self.mixed_pair(tiny_dataset, arch, 3, 4)
+        batch = [EpochSample(y=y, pair=(ga, gb), lam=lam)] if with_pair else []
+        batch.append(EpochSample(y=y, g=ga, layer=2))
+        index = len(batch) - 1
+        with pytest.raises(ValueError, match=rf"sample {index} is a plain graph but carries manifold-mix layer 2"):
+            batch_gradients(batch, params, np.random.default_rng(0))
+
+    @settings(max_examples=40)
+    @given(arch=st.sampled_from(["gcn", "gin"]), k=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_batch_loss_is_sum_of_singleton_losses(self, arch, k, seed):
+        # plain, readout and manifold samples at every layer, in one batch
+        rng = np.random.default_rng(seed)
+        items = uneven_items()
+        params = m.init_params(m.ModelConfig(arch=arch, k=k, hidden=5), 4, 3, rng)
+        kinds = ["plain", None, *range(1, k + 1)]
+        kinds += [kinds[int(i)] for i in rng.integers(len(kinds), size=3)]
+        batch = []
+        for kind in (kinds[int(i)] for i in rng.permutation(len(kinds))):
+            (ga, ya), (gb, yb) = (items[int(i)] for i in rng.integers(len(items), size=2))
+            if kind == "plain":
+                batch.append(EpochSample(y=ya, g=ga))
+            else:
+                lam = float(rng.random())
+                batch.append(EpochSample(y=m.mix_labels(ya, yb, lam), pair=(ga, gb), lam=lam, layer=kind))
+        loss, _ = batch_gradients(batch, params, rng)
+        alone = sum(batch_gradients([sample], params, rng)[0] for sample in batch)
+        assert abs(len(batch) * loss - alone) <= 1e-12
 
     @pytest.mark.parametrize("kind,arch", [("mixup_graph", "gcn"), ("manifold_mixup", "gin")])
     def test_deferred_pair_gradients_match_finite_differences(self, tiny_dataset, kind, arch):
@@ -756,7 +805,7 @@ class TestSerialization:
         back = m.load_metrics_csv(path)
         assert back.train_loss == log.train_loss  # repr round trip is exact
         assert back.val_acc == log.val_acc
-        header = open(path).readline().strip()
+        header = Path(path).read_text().splitlines()[0]
         assert header == "epoch,train_loss,val_acc"
 
     def test_load_rejects_wrong_columns(self, tmp_path):
@@ -770,7 +819,7 @@ class TestSerialization:
         cfg = m.TrainConfig(epochs=1)
         path = str(tmp_path / "summary.json")
         m.summary_to_json(log, cfg, path)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         assert doc["fold_acc"] == [0.5, 0.6]
         assert doc["mean"] == 0.55 and doc["std"] == 0.05
         assert doc["config"]["epochs"] == 1
@@ -794,6 +843,21 @@ class TestSerialization:
     def test_config_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="bad training config"):
             m.train_config_from_dict({"momentum": 0.9})
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"model": 5}, "bad training config: model must be an object, got 5"),
+            ({"augment": [1]}, r"bad training config: augment must be an object, got \[1\]"),
+            ({"epochs": 1.5}, r"epochs must be an integer, got 1\.5"),
+            ({"batch_size": 2.5}, r"batch_size must be an integer, got 2\.5"),
+            ({"model": {"k": 2.0}}, r"k must be an integer, got 2\.0"),
+        ],
+        ids=["model-number", "augment-list", "float-epochs", "float-batch-size", "float-k"],
+    )
+    def test_config_from_dict_rejects_malformed_fields(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            m.train_config_from_dict(doc)
 
     @pytest.mark.parametrize("beta", [[20], 5, {"alpha": 1}], ids=["one-entry", "number", "no-beta-key"])
     def test_config_from_dict_rejects_malformed_beta(self, beta):
