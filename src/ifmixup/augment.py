@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._schema import check_fields, rule
 from .graphs import NodeFeaturedGraph, is_binary
 from .mixing import BetaParams
 
@@ -39,15 +40,11 @@ class AugmentSpec:
     variants, ``beta`` by the mixing variants.
     """
 
-    kind: str = "none"
-    ratio: float = 0.0
-    beta: BetaParams = BetaParams(1.0, 1.0)
+    kind: str = rule("none", str, AUGMENT_KINDS)
+    ratio: float = rule(0.0, float, "[0, 1)")
+    beta: BetaParams = rule(BetaParams(1.0, 1.0), BetaParams, listed=True)
 
-    def __post_init__(self) -> None:
-        if self.kind not in AUGMENT_KINDS:
-            raise ValueError(f"unknown augmentation {self.kind!r}; expected one of {AUGMENT_KINDS}")
-        if not 0.0 <= self.ratio < 1.0:
-            raise ValueError(f"drop ratio must lie in [0, 1), got {self.ratio}")
+    __post_init__ = check_fields
 
 
 def drop_edge(g: NodeFeaturedGraph, ratio: float, rng: np.random.Generator) -> NodeFeaturedGraph:

@@ -6,17 +6,8 @@ recovery), 2 usage error (unknown command or flag).
 
 The train/cv/sweep commands read a single JSON configuration document; any
 flag given on the command line overrides the document, which overrides the
-built-in defaults. The document's "dataset" block points at a TUDataset
-directory (or requests the bundled synthetic generator), and every other
-key matches a TrainConfig field:
-
-    {
-      "dataset": {"directory": "data/MUTAG", "name": "MUTAG"},
-      "model": {"arch": "gin", "k": 5, "hidden": 64},
-      "augment": {"kind": "if_mixup", "beta": [20, 1]},
-      "epochs": 350, "seed": 0,
-      "out": "runs/mutag_ifmixup"
-    }
+built-in defaults. README.md's "Configuration" table lists every key with
+its type, range and default.
 """
 
 from __future__ import annotations
@@ -25,10 +16,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._schema import from_dict, rule
 from .graphs import GraphDataset, feature_vocabulary, validate_graph
 from .mixing import SWEEP_BETAS, BetaParams, mix_items
 from .models import save_checkpoint
@@ -64,7 +56,7 @@ from .tudataset import (
 )
 
 MIXED_NAME = "MIXED"
-_DATASET_KEYS = {"directory", "name", "encoding", "synthetic", "num_graphs", "seed"}
+_ENCODINGS = ("one_hot_labels", "one_hot_degree")
 _OVERRIDE_FLAGS = ("epochs", "seed", "runs", "folds")  # TrainConfig fields the flags override
 
 
@@ -78,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="dataset statistics and reference comparison")
     p.add_argument("directory", help="TUDataset directory")
     p.add_argument("name", help="dataset name (file prefix)")
-    p.add_argument("--encoding", choices=["one_hot_labels", "one_hot_degree"], default=None)
+    p.add_argument("--encoding", choices=_ENCODINGS, default=None)
     p.add_argument("--json", dest="json_out", default=None, help="also write stats as JSON")
 
     p = sub.add_parser("mix", help="emit one mixed sample as files")
@@ -87,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1.0, help="Beta alpha for lambda")
     p.add_argument("--beta", type=float, default=1.0, help="Beta beta for lambda")
-    p.add_argument("--encoding", choices=["one_hot_labels", "one_hot_degree"], default=None)
+    p.add_argument("--encoding", choices=_ENCODINGS, default=None)
     p.add_argument("--out", required=True, help="output directory for the mixed sample")
 
     p = sub.add_parser("recover", help="recover the source pair from an emitted mix")
@@ -100,12 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--encoding", choices=["one_hot_labels", "one_hot_degree"], default=None)
+    p.add_argument("--encoding", choices=_ENCODINGS, default=None)
 
     p = sub.add_parser("check-independence", help="test the feature-recovery assumptions")
     p.add_argument("directory")
     p.add_argument("name")
-    p.add_argument("--encoding", choices=["one_hot_labels", "one_hot_degree"], default=None)
+    p.add_argument("--encoding", choices=_ENCODINGS, default=None)
 
     for cmd, help_text in (
         ("train", "single split training run"),
@@ -184,11 +176,7 @@ def _cmd_recover(args) -> int:
     meta = _read_config(meta_path)
     if meta.get("format") != "ifmixup-mixed-sample":
         raise ParseError(f"{meta_path}: not a mixed-sample sidecar")
-    ds_doc, lam = meta.get("dataset"), meta.get("lam")
-    if not isinstance(ds_doc, dict) or not all(
-        isinstance(ds_doc.get(key), str) for key in ("directory", "name")
-    ):
-        raise ParseError(f"{meta_path}: 'dataset' needs a string 'directory' and 'name'")
+    lam = meta.get("lam")
     if not (isinstance(lam, float) and 0.0 < lam < 1.0):
         raise ParseError(f"{meta_path}: 'lam' must be a float in (0, 1), got {lam!r}")
     mixed = read_weighted_graph(args.mixed_dir, MIXED_NAME)
@@ -196,7 +184,7 @@ def _cmd_recover(args) -> int:
     if problems:
         raise ParseError(f"{args.mixed_dir}: invalid mixed graph: {problems[0]}")
 
-    ds = load_dataset(ds_doc["directory"], ds_doc["name"], ds_doc.get("encoding"))
+    ds = _dataset_from_config(meta, meta_path)
     basis = feature_vocabulary(ds)
     mode = recovery_mode(basis)
     if mode is None:
@@ -274,23 +262,30 @@ def _read_config(path: str) -> dict:
     return doc
 
 
-def _dataset_from_config(doc: dict, config_path: str) -> GraphDataset:
-    ds_doc = doc.get("dataset")
-    if not isinstance(ds_doc, dict):
-        raise ParseError(f"{config_path}: missing 'dataset' object")
-    unknown = set(ds_doc) - _DATASET_KEYS
-    if unknown:
-        raise ParseError(f"{config_path}: unknown dataset keys {sorted(unknown)}")
-    if ds_doc.get("synthetic"):
-        parsed = make_synthetic_molecules(
-            num_graphs=int(ds_doc.get("num_graphs", 188)),
-            seed=int(ds_doc.get("seed", 7)),
-        )
+@dataclass
+class _DatasetBlock:
+    """The "dataset" block of a config document or of a mix's sidecar."""
+
+    directory: str | None = rule(None, str)
+    name: str | None = rule(None, str)
+    encoding: str | None = rule(None, str, _ENCODINGS)
+    synthetic: bool = rule(False, bool)  # the bundled generator instead of a directory
+    num_graphs: int = rule(188, int, "[1, inf)")
+    seed: int = rule(7, int, "[0, inf)")
+
+
+def _dataset_from_config(doc: dict, path: str) -> GraphDataset:
+    """The dataset named by the "dataset" block of ``doc``, read from ``path``."""
+    if not isinstance(doc.get("dataset"), dict):
+        raise ParseError(f"{path}: missing 'dataset' object")
+    spec = from_dict(_DatasetBlock, doc["dataset"], "dataset")
+    if spec.synthetic:
+        parsed = make_synthetic_molecules(num_graphs=spec.num_graphs, seed=spec.seed)
         return encode_node_features(parsed, "one_hot_labels")
     for key in ("directory", "name"):
-        if key not in ds_doc:
-            raise ParseError(f"{config_path}: dataset block needs {key!r}")
-    return load_dataset(ds_doc["directory"], ds_doc["name"], ds_doc.get("encoding"))
+        if getattr(spec, key) is None:
+            raise ParseError(f"{path}: dataset block needs {key!r}")
+    return load_dataset(spec.directory, spec.name, spec.encoding)
 
 
 def _load_run(args) -> tuple[GraphDataset, TrainConfig, str | None]:

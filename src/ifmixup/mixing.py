@@ -15,10 +15,11 @@ distribution. Node alignment is by stored node ID (no shuffling).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
+from ._schema import check_fields, rule
 from .graphs import LabelDistribution, NodeFeaturedGraph, is_binary, pad_pair
 
 
@@ -26,17 +27,18 @@ from .graphs import LabelDistribution, NodeFeaturedGraph, is_binary, pad_pair
 class BetaParams:
     """Shape parameters of the Beta distribution the mixing ratio is drawn from."""
 
-    alpha: float
-    beta: float
+    alpha: float = rule(MISSING, float, "(0, inf)")
+    beta: float = rule(MISSING, float, "(0, inf)")
 
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"Beta parameters must be positive, got ({self.alpha}, {self.beta})")
+    __post_init__ = check_fields
 
     @property
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)
 
+
+# Rejected draws in a row after which a ratio sampler gives up on its Beta.
+MAX_REDRAWS = 1000
 
 # The five ratio distributions used throughout the sweep experiments.
 SWEEP_BETAS = (
@@ -63,11 +65,13 @@ def sample_lambda(params: BetaParams, rng: np.random.Generator) -> float:
 
     Exact endpoint draws are resampled: they are probability-zero events for
     a continuous Beta, and excluding them keeps mixed labels strictly soft.
+    ``MAX_REDRAWS`` of them in a row raise ValueError instead.
     """
-    while True:
+    for _ in range(MAX_REDRAWS):
         lam = float(rng.beta(params.alpha, params.beta))
         if 0.0 < lam < 1.0:
             return lam
+    raise ValueError(f"{params} drew {MAX_REDRAWS} ratios in a row at exactly 0 or 1")
 
 
 def beta_pdf(params: BetaParams, x: float) -> float:

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from ._schema import check_fields, from_dict, rule
 from .autodiff import Tensor, concat, constant, parameter, segment_matmul
 from .graphs import LabelDistribution, NodeFeaturedGraph
 
@@ -48,41 +49,20 @@ CHECKPOINT_FORMAT = "ifmixup-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def require_integers(config, names: tuple[str, ...]) -> None:
-    """Reject a count field of ``config`` that is not an integer (bools included)."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters shared by init, forward and training."""
 
-    arch: str = "gcn"  # "gcn" | "gin"
-    k: int = 2  # message-passing layers
-    hidden: int = 16
-    dropout: float = 0.0  # applied to the dense head's logits, training only
-    readout: str = "sum"  # "sum" | "mean"
-    gcn_skip: bool = False
-    gin_mlp_depth: int = 2
-    gin_mlp_bias: bool = True
+    arch: str = rule("gcn", str, ("gcn", "gin"))
+    k: int = rule(2, int, "[1, inf)")  # message-passing layers
+    hidden: int = rule(16, int, "[1, inf)")
+    dropout: float = rule(0.0, float, "[0, 1)")  # applied to the dense head's logits, training only
+    readout: str = rule("sum", str, ("sum", "mean"))
+    gcn_skip: bool = rule(False, bool)
+    gin_mlp_depth: int = rule(2, int, "[1, inf)")
+    gin_mlp_bias: bool = rule(True, bool)
 
-    def __post_init__(self) -> None:
-        require_integers(self, ("k", "hidden", "gin_mlp_depth"))
-        if self.arch not in ("gcn", "gin"):
-            raise ValueError(f"arch must be 'gcn' or 'gin', got {self.arch!r}")
-        if self.k < 1:
-            raise ValueError(f"need at least one layer, got k={self.k}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden width must be positive, got {self.hidden}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.readout not in ("sum", "mean"):
-            raise ValueError(f"readout must be 'sum' or 'mean', got {self.readout!r}")
-        if self.gin_mlp_depth < 1:
-            raise ValueError(f"GIN MLP needs at least one layer, got {self.gin_mlp_depth}")
+    __post_init__ = check_fields
 
     def readout_dim(self) -> int:
         """Width of the graph representation fed to the classifier head."""
@@ -429,7 +409,7 @@ def load_checkpoint(path: str) -> ModelParams:
         raise ValueError(f"not an ifmixup checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    config = ModelConfig(**doc["config"])
+    config = from_dict(ModelConfig, doc.get("config"), "config")
     tensors = {
         name: np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
         for name, rec in doc["tensors"].items()

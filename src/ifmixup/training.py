@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from ._schema import check_fields, from_dict, rule
 from .augment import AugmentSpec
 from .autodiff import Tensor, concat, constant
 from .graphs import (
@@ -47,7 +48,6 @@ from .models import (
     embed_batch,
     head_logits,
     init_params,
-    require_integers,
     wrap_params,
 )
 from .augment import drop_edge, drop_node
@@ -78,26 +78,18 @@ DEPTH_SWEEP = (2, 3, 5, 8)
 class TrainConfig:
     """One experiment: architecture, augmentation, and optimization knobs."""
 
-    model: ModelConfig = field(default_factory=ModelConfig)
-    augment: AugmentSpec = field(default_factory=AugmentSpec)
-    lr0: float = 0.01
-    batch_size: int = 32
-    epochs: int = 350
-    folds: int = 10
-    runs: int = 3
-    seed: int = 0
-    weight_decay: float = 0.01
-    audit_mixes: bool = False  # resample-guard lambda and validate each mix
+    model: ModelConfig = rule(ModelConfig, ModelConfig)
+    augment: AugmentSpec = rule(AugmentSpec, AugmentSpec)
+    lr0: float = rule(0.01, float, "(0, inf)")
+    batch_size: int = rule(32, int, "[1, inf)")
+    epochs: int = rule(350, int, "[1, inf)")
+    folds: int = rule(10, int, "[1, inf)")
+    runs: int = rule(3, int, "[1, inf)")
+    seed: int = rule(0, int, "[0, inf)")
+    weight_decay: float = rule(0.01, float, "[0, inf)")
+    audit_mixes: bool = rule(False, bool)  # resample-guard lambda and validate each mix
 
-    def __post_init__(self) -> None:
-        require_integers(self, ("epochs", "folds", "runs", "batch_size", "seed"))
-        for name in ("epochs", "folds", "runs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lr0 <= 0.0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -561,26 +553,7 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
     """Build a TrainConfig from a parsed JSON document; unknown keys rejected."""
-    doc = dict(doc)
-    for key in ("model", "augment"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise ValueError(f"bad training config: {key} must be an object, got {doc[key]!r}")
-    model_doc = dict(doc.pop("model", {}))
-    augment_doc = dict(doc.pop("augment", {}))
-    beta = augment_doc.pop("beta", None)
-    if beta is not None:
-        try:
-            alpha, b = (beta["alpha"], beta["beta"]) if isinstance(beta, dict) else beta
-            alpha, b = float(alpha), float(b)
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(
-                f"bad training config: augment.beta must be [alpha, beta] or "
-                f'{{"alpha": a, "beta": b}}, got {beta!r}'
-            ) from None
-        augment_doc["beta"] = BetaParams(alpha, b)
     try:
-        model = ModelConfig(**model_doc)
-        augment = AugmentSpec(**augment_doc)
-        return TrainConfig(model=model, augment=augment, **doc)
-    except TypeError as exc:
+        return from_dict(TrainConfig, doc)
+    except ValueError as exc:
         raise ValueError(f"bad training config: {exc}") from None

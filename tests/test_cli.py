@@ -340,6 +340,75 @@ class TestCvAndSweep:
         assert run_command(["sweep", config, "--axis", "dropout"]) == 2
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestConfigHoles:
+    """Each malformed setting fails with a ValueError (exit 1 on the CLI) that
+    names the field by its dotted path, whichever reader meets it first."""
+
+    @pytest.mark.parametrize(
+        "route,doc,message",
+        [
+            ("config", {"seed": -1}, "seed must be an integer in [0, inf), got -1"),
+            ("config", {"lr0": NAN}, "lr0 must be a number in (0, inf), got nan"),
+            ("config", {"lr0": True}, "lr0 must be a number, got True"),
+            ("config", {"weight_decay": INF}, "weight_decay must be a number in [0, inf), got inf"),
+            ("config", {"audit_mixes": "yes"}, "audit_mixes must be true or false, got 'yes'"),
+            ("config", {"model": {"gcn_skip": "no"}}, "model.gcn_skip must be true or false, got 'no'"),
+            ("config", {"model": {"gin_mlp_bias": 0}}, "model.gin_mlp_bias must be true or false, got 0"),
+            (
+                "config",
+                {"augment": {"beta": [INF, 1]}},
+                "augment.beta.alpha must be a number in (0, inf), got inf",
+            ),
+            ("config", {"lr0": "0.01"}, "lr0 must be a number, got '0.01'"),
+            ("config", {"model": {"dropout": "0.5"}}, "model.dropout must be a number, got '0.5'"),
+            ("checkpoint", {"momentum": 0.9}, "unknown config keys ['momentum']"),
+            ("checkpoint", {"gcn_skip": "no"}, "config.gcn_skip must be true or false, got 'no'"),
+            (
+                "dataset",
+                {"synthetic": "no", "directory": "data/X", "name": "X"},
+                "dataset.synthetic must be true or false, got 'no'",
+            ),
+            (
+                "dataset",
+                {"synthetic": True, "num_graphs": 12.9},
+                "dataset.num_graphs must be an integer, got 12.9",
+            ),
+            (
+                "dataset",
+                {"synthetic": True, "num_graphs": "many"},
+                "dataset.num_graphs must be an integer, got 'many'",
+            ),
+            ("dataset", {"synthetic": True, "encoding": "one_hot"}, "dataset.encoding must be one of ("),
+            ("cv", ["--seed", "-1"], "seed must be an integer in [0, inf), got -1"),
+        ],
+    )
+    def test_names_the_field(self, tmp_path, capsys, route, doc, message):
+        if route == "config":
+            with pytest.raises(ValueError) as info:
+                m.train_config_from_dict(doc)
+            error = str(info.value)
+        elif route == "checkpoint":
+            path = str(tmp_path / "model.json")
+            m.save_checkpoint(m.init_params(m.ModelConfig(), 3, 2, np.random.default_rng(0)), path)
+            saved = json.loads(Path(path).read_text())
+            saved["config"].update(doc)
+            Path(path).write_text(json.dumps(saved))
+            with pytest.raises(ValueError) as info:
+                m.load_checkpoint(path)
+            error = str(info.value)
+        else:
+            if route == "dataset":
+                command = ["train", tiny_config(tmp_path, dataset=doc)]
+            else:
+                command = ["cv", tiny_config(tmp_path), *doc]
+            assert run_command(command) == 1
+            [error] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert message in error
+
+
 class TestPlot:
     def test_beta_densities(self, tmp_path):
         out = str(tmp_path / "beta")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import ifmixup as m
+from ifmixup.mixing import MAX_REDRAWS
 
 from conftest import graphs_equal, rand_one_hot_graph
 
@@ -16,7 +19,7 @@ class TestBetaParams:
 
     @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-2, 2)])
     def test_nonpositive_rejected(self, a, b):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"must be a number in \(0, inf\), got"):
             m.BetaParams(a, b)
 
     def test_sweep_grid(self):
@@ -55,6 +58,27 @@ class TestSampleLambda:
         for _ in range(1000):
             lam = m.sample_lambda(m.BetaParams(20, 1), rng)
             assert 0.0 < lam < 1.0
+
+
+    @pytest.mark.parametrize("alpha", [1e20, 1e300])
+    def test_gives_up_on_a_beta_at_an_endpoint(self, alpha):
+        # float64 rounds every Beta(alpha, 1) draw to exactly 1
+        params = m.BetaParams(alpha, 1.0)
+        message = re.escape(f"{params} drew {MAX_REDRAWS} ratios in a row at exactly 0 or 1")
+        with pytest.raises(ValueError, match=message):
+            m.sample_lambda(params, np.random.default_rng(0))
+
+    def test_endpoint_draws_redrawn_in_order(self):
+        class Draws:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def beta(self, a, b):
+                return next(self.values)
+
+        draws = Draws([0.0, 1.0, 0.25, 0.75])
+        assert m.sample_lambda(m.BetaParams(2, 2), draws) == 0.25
+        assert next(draws.values) == 0.75  # exactly three draws taken
 
 
 class TestBetaPdf:

@@ -4,8 +4,10 @@ names the benchmark reaches into, and the runtime imports."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import json
 import os
 import sys
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import ifmixup as m
+import ifmixup.cli
 import ifmixup.graphs
 import ifmixup.mixing
 import ifmixup.recovery
@@ -134,3 +137,32 @@ def test_runtime_imports_are_numpy_and_stdlib():
                 continue
             foreign += [(filename, n) for n in names if n.split(".")[0] not in allowed]
     assert foreign == []
+
+
+CONFIGS = (m.ModelConfig, m.AugmentSpec, m.BetaParams, m.TrainConfig, ifmixup.cli._DatasetBlock)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda cls: cls.__name__)
+def test_every_config_field_has_a_schema_rule(config):
+    """A config field without a rule would skip validation on every path."""
+    assert [f.name for f in dataclasses.fields(config) if "kind" not in f.metadata] == []
+
+
+def schema_rows(config, prefix: str = ""):
+    """One README table row per leaf field of ``config`` (an instance, which
+    gives the defaults of the blocks it holds)."""
+    for f in dataclasses.fields(config):
+        kind, bounds, value = f.metadata["kind"], f.metadata["bounds"], getattr(config, f.name)
+        if dataclasses.is_dataclass(kind):
+            yield from schema_rows(value, f"{prefix}{f.name}.")
+            continue
+        allowed = ", ".join(f"`{json.dumps(c)}`" for c in bounds) if isinstance(bounds, tuple) else bounds
+        default = "—" if value is None else f"`{json.dumps(value)}`"
+        yield f"| `{prefix}{f.name}` | {kind.__name__} | {allowed or '—'} | {default} |"
+
+
+def test_readme_configuration_table_matches_schema():
+    with open(os.path.join(os.path.dirname(PYPROJECT), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    rows = [*schema_rows(m.TrainConfig()), *schema_rows(ifmixup.cli._DatasetBlock(), "dataset.")]
+    assert [row for row in rows if row not in readme] == []

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import ifmixup as m
 import ifmixup.recovery
 from ifmixup.graphs import RANK_TOL
+from ifmixup.mixing import MAX_REDRAWS
 from ifmixup.recovery import HALF_GUARD, RecoveryError, recovery_mode, sample_decodable_lambda
 
 from conftest import graphs_equal, rand_one_hot_graph
@@ -503,6 +504,20 @@ class TestRecoverPair:
         assert rec.lam == pytest.approx(0.3, abs=1e-9)  # canonical mirror of 0.7
         assert graphs_equal(rec.graph_a, b) and graphs_equal(rec.graph_b, a)
 
+    @pytest.mark.parametrize("mode,solves", [("independent", 1), ("basis", 2)])
+    def test_binary_edge_mix_solves_features_once(self, monkeypatch, mode, solves):
+        # binary mixed edges leave the ratio to the features: the one solve
+        # that reads it also gives the split (basis mode: projection, then T)
+        e = sym({(0, 1): 1.0}, 3)
+        v = np.eye(3) if mode == "independent" else np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        a, b = m.NodeFeaturedGraph(v, e), m.NodeFeaturedGraph(v[::-1].copy(), e)
+        basis = two_graph_basis(a, b)
+        assert recovery_mode(basis) == mode
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+        rec = m.recover_pair(m.mix_pair(a, b, 0.3), basis, mode)
+        assert rec.matches(a, b, 0.3) and len(calls) == solves
+
     @pytest.mark.parametrize("edges", [{(0, 1): 1.0}, {(0, 1): 0.3}], ids=["degenerate", "soft"])
     def test_non_finite_features_rejected(self, edges):
         a = m.NodeFeaturedGraph(np.eye(3)[:2], sym({(0, 1): 1.0}, 2))
@@ -709,6 +724,21 @@ class TestDecodableLambda:
         guarded, plain = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(50):
             assert sample_decodable_lambda(params, guarded) == m.sample_lambda(params, plain)
+
+
+    def test_gives_up_on_a_beta_concentrated_at_half(self):
+        # Beta(1e16, 1e16) draws within 1e-8 of 0.5, always inside the guard
+        params = m.BetaParams(1e16, 1e16)
+        message = re.escape(f"{params} drew {MAX_REDRAWS} ratios in a row within {HALF_GUARD} of 0.5")
+        with pytest.raises(ValueError, match=message):
+            sample_decodable_lambda(params, np.random.default_rng(0))
+
+    def test_gives_up_after_max_redraws(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ifmixup.recovery, "sample_lambda", lambda params, rng: calls.append(1) or 0.5)
+        with pytest.raises(ValueError, match="ratios in a row"):
+            sample_decodable_lambda(m.BetaParams(2, 2), None)
+        assert len(calls) == MAX_REDRAWS
 
 
 class TestIntrusionAudit:
