@@ -8,8 +8,9 @@ models is implemented: affine maps, elementwise arithmetic, ReLU, sums,
 row slicing/concatenation, per-graph aggregation over a packed batch of
 graphs, and a numerically safe log-softmax for the cross-entropy head.
 
-Gradients accumulate across calls (the usual convention), so parameters that
-participate in several forward passes per step receive the summed gradient.
+Gradients accumulate across calls (the usual convention). The first gradient
+a tensor receives is stored as given and every later one is summed into a
+new array: no array the tape stores or returns is ever written.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
-            # a copy: the caller may hand the same array to several parents
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            self.grad += g
+        # stored as given, summed into a new array: never written in place,
+        # so the caller may hand the same array to several parents
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded tape."""
@@ -191,12 +190,12 @@ def segment_matmul(blocks: list[np.ndarray], h: Tensor, rows: np.ndarray) -> Ten
     segment's own rows first, zero rows after. ``rows[i]`` is the padded
     position of row ``i`` of ``h``. The rows are scattered into the padded
     layout, each stack is multiplied with one ``np.matmul``, and the result
-    is gathered back; backward does the same with the transposed blocks.
+    is gathered back; backward zeroes the same buffer and does the same with
+    the transposed blocks.
     """
-    total = sum(stack.shape[0] * stack.shape[1] for stack in blocks)
+    padded = np.zeros((sum(stack.shape[0] * stack.shape[1] for stack in blocks), h.shape[1]))
 
     def batched(stacks: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-        padded = np.zeros((total, x.shape[1]))
         padded[rows] = x
         start = 0
         for mats in stacks:
@@ -208,6 +207,7 @@ def segment_matmul(blocks: list[np.ndarray], h: Tensor, rows: np.ndarray) -> Ten
         return padded[rows]
 
     def bw(g: np.ndarray) -> None:
+        padded.fill(0.0)
         h._accumulate(batched([stack.transpose(0, 2, 1) for stack in blocks], g))
 
     return Tensor(batched(blocks, h.value), parents=(h,), backward=bw)

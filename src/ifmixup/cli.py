@@ -288,6 +288,13 @@ def _dataset_from_config(doc: dict, path: str) -> GraphDataset:
     return load_dataset(spec.directory, spec.name, spec.encoding)
 
 
+@dataclass
+class _Output:
+    """The "out" key of a config document: the prefix of the files a command writes."""
+
+    out: str | None = rule(None, str)
+
+
 def _load_run(args) -> tuple[GraphDataset, TrainConfig, str | None]:
     """The dataset, config and output prefix of a train/cv/sweep command.
 
@@ -299,7 +306,8 @@ def _load_run(args) -> tuple[GraphDataset, TrainConfig, str | None]:
     cfg = train_config_from_dict({k: v for k, v in doc.items() if k not in ("dataset", "out")})
     overrides = {flag: getattr(args, flag) for flag in _OVERRIDE_FLAGS}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    out = args.out if args.out is not None else doc.get("out")
+    out = from_dict(_Output, {"out": doc.get("out")}).out
+    out = args.out if args.out is not None else out
     if out:
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     return ds, cfg, out

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field
 
 import numpy as np
 
@@ -402,16 +402,50 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
     os.replace(tmp, path)
 
 
+@dataclass
+class _CheckpointHeader:
+    """The keys of a checkpoint beside its format, version and tensors."""
+
+    config: ModelConfig = rule(MISSING, ModelConfig)
+    feature_dim: int = rule(MISSING, int, "[1, inf)")
+    num_classes: int = rule(MISSING, int, "[1, inf)")
+
+
+def _read_tensors(recs, want: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The checkpoint's ``tensors``, held to the names and shapes of ``want``."""
+    if not isinstance(recs, dict):
+        raise ValueError(f"tensors must be an object, got {type(recs).__name__}")
+    if recs.keys() != want.keys():
+        missing, unknown = sorted(want.keys() - recs.keys()), sorted(recs.keys() - want.keys())
+        raise ValueError(f"tensors do not fit the config: missing {missing}, unknown {unknown}")
+    tensors = {}
+    for name, w in want.items():
+        rec = recs[name] if isinstance(recs[name], dict) else {}
+        if rec.get("shape") != list(w.shape):
+            raise ValueError(f"tensors.{name}.shape must be {list(w.shape)}, got {rec.get('shape')!r}")
+        try:
+            data = np.asarray(rec.get("data"))
+        except ValueError:  # ragged nesting
+            data = np.empty(0)
+        if data.dtype.kind not in "iuf" or data.shape != (w.size,):
+            raise ValueError(f"tensors.{name}.data must be a list of {w.size} numbers")
+        tensors[name] = data.astype(np.float64).reshape(w.shape)
+    return tensors
+
+
 def load_checkpoint(path: str) -> ModelParams:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not an ifmixup checkpoint: {path}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
-    config = from_dict(ModelConfig, doc.get("config"), "config")
-    tensors = {
-        name: np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
-        for name, rec in doc["tensors"].items()
-    }
-    return ModelParams(config, int(doc["feature_dim"]), int(doc["num_classes"]), tensors)
+    """The parameters saved at ``path``; a bad key is a ValueError naming the file and the key."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError("not an ifmixup checkpoint")
+        if doc.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+        keys = ("config", "feature_dim", "num_classes")
+        head = from_dict(_CheckpointHeader, {k: doc[k] for k in keys if k in doc})
+        want = init_params(head.config, head.feature_dim, head.num_classes, np.random.default_rng(0))
+        tensors = _read_tensors(doc.get("tensors"), want.tensors)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return ModelParams(head.config, head.feature_dim, head.num_classes, tensors)

@@ -277,8 +277,9 @@ class TestTrain:
             ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
             ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
             ({"model": {"arch": "gin", "k": 2.0, "hidden": 4}}, "k must be an integer, got 2.0"),
+            ({"out": 5}, "out must be a string, got 5"),
         ],
-        ids=["model-number", "augment-list", "float-epochs", "float-batch-size", "float-k"],
+        ids=["model-number", "augment-list", "float-epochs", "float-batch-size", "float-k", "number-out"],
     )
     def test_malformed_config_field(self, tmp_path, capsys, overrides, message):
         config = tiny_config(tmp_path, **overrides)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -447,6 +449,36 @@ class TestCheckpoints:
         assert loaded.tensors.keys() == params.tensors.keys()
         for k in params.tensors:
             assert np.array_equal(loaded.tensors[k], params.tensors[k])
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.pop("tensors"), "tensors must be an object"),
+            (lambda d: d.update(feature_dim="x"), "feature_dim must be an integer, got 'x'"),
+            (lambda d: d.pop("num_classes"), "num_classes is missing"),
+            (lambda d: d["tensors"]["head.b"].update(shape=[999]), "tensors.head.b.shape must be [2], got [999]"),
+            (lambda d: d["tensors"]["head.b"].update(data=[1.0]), "tensors.head.b.data must be a list of 2 numbers"),
+            (lambda d: d["tensors"]["head.b"].update(data=["1", "2"]), "tensors.head.b.data must be a list of 2"),
+            (lambda d: d["tensors"].pop("head.b"), "missing ['head.b'], unknown []"),
+            (lambda d: d["tensors"].update(extra={}), "missing [], unknown ['extra']"),
+            (lambda d: d.update(feature_dim=8), "tensors.layer0.mlp0.W.shape must be [8, 4], got [7, 4]"),
+            (lambda d: d["config"].update(k=3), "missing ['layer2.eps'"),
+        ],
+        ids=[
+            "no-tensors", "text-feature-dim", "no-num-classes", "shape", "short-data",
+            "text-data", "missing-tensor", "extra-tensor", "other-feature-dim", "other-k",
+        ],
+    )
+    def test_bad_key_is_named(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        cfg = m.ModelConfig(arch="gin", k=2, hidden=4)
+        m.save_checkpoint(m.init_params(cfg, 7, 2, np.random.default_rng(0)), str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            m.load_checkpoint(str(path))
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.json"

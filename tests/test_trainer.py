@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ifmixup as m
 import ifmixup.training
-from ifmixup.autodiff import concat, constant
+from ifmixup.autodiff import Tensor, concat, constant
 from ifmixup.models import (
     _gcn_norm,
     apply_dropout,
@@ -568,6 +568,45 @@ class TestPackedMatchesPerGraph:
         for gradients in (batch_gradients, reference_gradients):
             with pytest.raises(ValueError, match="gradients need a nonempty batch"):
                 gradients([], params, np.random.default_rng(0))
+
+
+@pytest.fixture
+def frozen_gradients(monkeypatch):
+    """Every array the tape receives or stores as a gradient is made read-only,
+    so an in-place write to one, by the tape or by ``adamw_step``, raises."""
+    accumulate = Tensor._accumulate
+
+    def frozen(self, g):
+        g.setflags(write=False)
+        accumulate(self, g)
+        if self.grad is not None:
+            self.grad.setflags(write=False)
+
+    monkeypatch.setattr(Tensor, "_accumulate", frozen)
+
+
+class TestNoInPlaceGradientWrites:
+    @pytest.mark.parametrize(
+        "arch,kind,dropout",
+        [
+            ("gin", "if_mixup", 0.0),
+            ("gin", "manifold_mixup", 0.0),
+            ("gcn", "manifold_mixup", 0.0),
+            ("gin", "mixup_graph", 0.0),
+            ("gin", "none", 0.5),
+        ],
+    )
+    def test_tape_and_adamw_write_no_gradient(self, frozen_gradients, tiny_dataset, arch, kind, dropout):
+        model = m.ModelConfig(arch=arch, k=3, hidden=5, dropout=dropout)
+        cfg = m.TrainConfig(model=model, augment=m.AugmentSpec(kind=kind, beta=m.BetaParams(2, 2)))
+        params = m.init_params(model, tiny_dataset.feature_dim, tiny_dataset.num_classes, np.random.default_rng(50))
+        batch = build_epoch_stream(tiny_dataset.items, cfg, np.random.default_rng(51))
+        _, grads = batch_gradients(batch, params, np.random.default_rng(52))
+        m.adamw_step(params.tensors, grads, m.AdamWState.for_params(params), 0.01, 0.01)
+        frozen = [g for g in grads.values() if not g.flags.writeable]
+        assert frozen
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0] += 1.0  # the fixture is live
 
 
 class TestEvaluate:
