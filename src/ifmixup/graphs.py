@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -123,6 +124,9 @@ class FeatureBasis:
     ``coeffs[i]`` is the coefficient matrix T of dataset graph i with
     ``v_i = T @ basis``. ``t_set`` is the deduplicated collection of
     coefficient matrices used by basis-mode recovery.
+
+    On a basis from ``feature_vocabulary``, ``coeffs`` and ``t_set`` are
+    built on their first read and then kept; either can still be assigned.
     """
 
     vocabulary: np.ndarray
@@ -371,10 +375,12 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     V*. The basis is the greedy maximal independent subset of V in
     lexicographic row order, so the result is deterministic for a given
     dataset. The coefficients are solved once for the distinct rows and
-    gathered per graph. Raises ValueError naming the graph when its feature
-    width is not the dataset's, naming the graph and the entry when a node
-    feature is not finite, and naming the basis rank when the basis passes
-    the rank test but its Gram matrix is singular in floating point.
+    checked against them; the per-graph ``coeffs`` and the deduplicated
+    ``t_set`` are gathered from that solve on their first read, not here.
+    Raises ValueError naming the graph when its feature width is not the
+    dataset's, naming the graph and the entry when a node feature is not
+    finite, and naming the basis rank when the basis passes the rank test
+    but its Gram matrix is singular in floating point.
     """
     if not ds.items:
         raise ValueError("empty dataset")
@@ -409,15 +415,46 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     recon = np.max(np.abs(t_distinct @ basis - distinct), initial=0.0)
     if recon > RANK_TOL:
         raise ValueError(f"basis reconstruction residual {recon:.3e} exceeds {RANK_TOL}")
-    spans = list(zip([0] + ends[:-1].tolist(), ends.tolist()))
-    t_all = t_distinct[inverse]
-    coeffs = [t_all[a:b] for a, b in spans]
+    return _SolvedFeatureBasis(vocabulary, vocabulary_star, rank, basis, t_distinct, inverse, ends)
 
-    # Two graphs' T are byte-equal exactly when their nodes' coefficient
-    # rows are, so each graph is keyed on the class ids of those rows.
-    t_rows: defaultdict[bytes, int] = defaultdict(itertools.count().__next__)
-    row_class = np.array([t_rows[t.tobytes()] for t in t_distinct], dtype=np.intp)[inverse]
-    first: dict[bytes, np.ndarray] = {}
-    for t, (a, b) in zip(coeffs, spans):
-        first.setdefault(row_class[a:b].tobytes(), t)
-    return FeatureBasis(vocabulary, vocabulary_star, rank, basis, coeffs, list(first.values()))
+
+class _SolvedFeatureBasis(FeatureBasis):
+    """The FeatureBasis ``feature_vocabulary`` returns: ``coeffs`` and
+    ``t_set`` are built on first read from the distinct rows' coefficients
+    ``t_distinct`` and each node's index into them, ``inverse``, with
+    ``ends`` the cumulative node counts of the graphs.
+
+    Independent-mode decoding reads neither, and ``coeffs`` holds a
+    coefficient row per node, the largest array of the basis.
+    """
+
+    def __init__(self, vocabulary, vocabulary_star, rank, basis, t_distinct, inverse, ends):
+        self.vocabulary = vocabulary
+        self.vocabulary_star = vocabulary_star
+        self.rank = rank
+        self.basis = basis
+        self._t_distinct = t_distinct
+        self._inverse = inverse
+        self._ends = ends
+
+    def _spans(self) -> list[tuple[int, int]]:
+        ends = self._ends.tolist()
+        return list(zip([0] + ends[:-1], ends))
+
+    @cached_property
+    def coeffs(self) -> list[np.ndarray]:
+        t_all = self._t_distinct[self._inverse]
+        return [t_all[a:b] for a, b in self._spans()]
+
+    @cached_property
+    def t_set(self) -> list[np.ndarray]:
+        # Two graphs' T are byte-equal exactly when their nodes' coefficient
+        # rows are, so each graph is keyed on the class ids of those rows,
+        # and only the first graph of each key is gathered.
+        t_rows: defaultdict[bytes, int] = defaultdict(itertools.count().__next__)
+        classes = np.array([t_rows[t.tobytes()] for t in self._t_distinct], dtype=np.intp)
+        row_class = classes[self._inverse]
+        first: dict[bytes, tuple[int, int]] = {}
+        for a, b in self._spans():
+            first.setdefault(row_class[a:b].tobytes(), (a, b))
+        return [self._t_distinct[self._inverse[a:b]] for a, b in first.values()]

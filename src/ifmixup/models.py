@@ -34,6 +34,7 @@ and ``model_gradients``.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field
 
@@ -110,6 +111,31 @@ def _bias(rng: np.random.Generator, fan_in: int, size: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=size)
 
 
+def _param_shapes(config: ModelConfig, feature_dim: int, num_classes: int) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every parameter, in ``init_params``'s draw order:
+    the one layout rule that ``init_params`` fills and ``load_checkpoint``
+    checks a file against."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    f_in = feature_dim
+    for layer in range(config.k):
+        if config.arch == "gcn":
+            shapes[f"layer{layer}.W"] = (f_in, config.hidden)
+            if config.gcn_skip and f_in != config.hidden:
+                shapes[f"layer{layer}.P"] = (f_in, config.hidden)
+        else:
+            shapes[f"layer{layer}.eps"] = (1,)
+            m_in = f_in
+            for m in range(config.gin_mlp_depth):
+                shapes[f"layer{layer}.mlp{m}.W"] = (m_in, config.hidden)
+                if config.gin_mlp_bias:
+                    shapes[f"layer{layer}.mlp{m}.b"] = (config.hidden,)
+                m_in = config.hidden
+        f_in = config.hidden
+    shapes["head.W"] = (config.readout_dim(), num_classes)
+    shapes["head.b"] = (num_classes,)
+    return shapes
+
+
 def init_params(
     config: ModelConfig,
     feature_dim: int,
@@ -119,24 +145,15 @@ def init_params(
     """Glorot-uniform weights, fan-in-scaled uniform biases, zero GIN eps."""
     if feature_dim < 1 or num_classes < 1:
         raise ValueError("feature_dim and num_classes must be positive")
+    shapes = _param_shapes(config, feature_dim, num_classes)
     t: dict[str, np.ndarray] = {}
-    f_in = feature_dim
-    for layer in range(config.k):
-        if config.arch == "gcn":
-            t[f"layer{layer}.W"] = _glorot(rng, f_in, config.hidden)
-            if config.gcn_skip and f_in != config.hidden:
-                t[f"layer{layer}.P"] = _glorot(rng, f_in, config.hidden)
+    for name, shape in shapes.items():
+        if name.endswith(".eps"):
+            t[name] = np.zeros(shape)
+        elif name.endswith(".b"):  # a bias follows its weight, whose rows are its fan-in
+            t[name] = _bias(rng, shapes[name[:-1] + "W"][0], shape[0])
         else:
-            t[f"layer{layer}.eps"] = np.zeros(1)
-            m_in = f_in
-            for m in range(config.gin_mlp_depth):
-                t[f"layer{layer}.mlp{m}.W"] = _glorot(rng, m_in, config.hidden)
-                if config.gin_mlp_bias:
-                    t[f"layer{layer}.mlp{m}.b"] = _bias(rng, m_in, config.hidden)
-                m_in = config.hidden
-        f_in = config.hidden
-    t["head.W"] = _glorot(rng, config.readout_dim(), num_classes)
-    t["head.b"] = _bias(rng, config.readout_dim(), num_classes)
+            t[name] = _glorot(rng, *shape)
     return ModelParams(config, feature_dim, num_classes, t)
 
 
@@ -411,25 +428,26 @@ class _CheckpointHeader:
     num_classes: int = rule(MISSING, int, "[1, inf)")
 
 
-def _read_tensors(recs, want: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The checkpoint's ``tensors``, held to the names and shapes of ``want``."""
+def _read_tensors(recs, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """The checkpoint's ``tensors``, held to the names and shapes of ``shapes``."""
     if not isinstance(recs, dict):
         raise ValueError(f"tensors must be an object, got {type(recs).__name__}")
-    if recs.keys() != want.keys():
-        missing, unknown = sorted(want.keys() - recs.keys()), sorted(recs.keys() - want.keys())
+    if recs.keys() != shapes.keys():
+        missing, unknown = sorted(shapes.keys() - recs.keys()), sorted(recs.keys() - shapes.keys())
         raise ValueError(f"tensors do not fit the config: missing {missing}, unknown {unknown}")
     tensors = {}
-    for name, w in want.items():
+    for name, shape in shapes.items():
         rec = recs[name] if isinstance(recs[name], dict) else {}
-        if rec.get("shape") != list(w.shape):
-            raise ValueError(f"tensors.{name}.shape must be {list(w.shape)}, got {rec.get('shape')!r}")
+        if rec.get("shape") != list(shape):
+            raise ValueError(f"tensors.{name}.shape must be {list(shape)}, got {rec.get('shape')!r}")
+        size = math.prod(shape)
         try:
             data = np.asarray(rec.get("data"))
         except ValueError:  # ragged nesting
             data = np.empty(0)
-        if data.dtype.kind not in "iuf" or data.shape != (w.size,):
-            raise ValueError(f"tensors.{name}.data must be a list of {w.size} numbers")
-        tensors[name] = data.astype(np.float64).reshape(w.shape)
+        if data.dtype.kind not in "iuf" or data.shape != (size,):
+            raise ValueError(f"tensors.{name}.data must be a list of {size} numbers")
+        tensors[name] = data.astype(np.float64).reshape(shape)
     return tensors
 
 
@@ -444,8 +462,8 @@ def load_checkpoint(path: str) -> ModelParams:
             raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
         keys = ("config", "feature_dim", "num_classes")
         head = from_dict(_CheckpointHeader, {k: doc[k] for k in keys if k in doc})
-        want = init_params(head.config, head.feature_dim, head.num_classes, np.random.default_rng(0))
-        tensors = _read_tensors(doc.get("tensors"), want.tensors)
+        shapes = _param_shapes(head.config, head.feature_dim, head.num_classes)
+        tensors = _read_tensors(doc.get("tensors"), shapes)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return ModelParams(head.config, head.feature_dim, head.num_classes, tensors)

@@ -65,7 +65,11 @@ class RecoveryError(ValueError):
 def recovery_mode(basis: FeatureBasis) -> str | None:
     """The decoder a dataset admits: "independent" when its vocabulary V is
     linearly independent, else "basis" when its coefficient collection is,
-    else None (neither assumption holds; mixes need not be invertible)."""
+    else None (neither assumption holds; mixes need not be invertible).
+
+    Only a dependent V reads ``basis.t_set``, so on a basis from
+    ``feature_vocabulary`` the first basis-mode verdict is where the
+    collection gets built."""
     if basis.vocabulary_independent():
         return "independent"
     if basis.t_set_independent():
@@ -270,7 +274,8 @@ def _feature_coefficients(v_mixed: np.ndarray, over: np.ndarray | FeatureBasis):
     of the sources' features from their split: rows of V* (V plus the zero
     row) over a vocabulary V, or T @ B for the pair (T, T') over a
     FeatureBasis's members that fit in the mix, the only ones that must be
-    independent for the row to be unique."""
+    independent for the row to be unique. Only the FeatureBasis form reads
+    ``t_set``; neither form reads ``coeffs``."""
     v_mixed = np.atleast_2d(np.asarray(v_mixed, dtype=np.float64))
     _require_finite(v_mixed, "mixed node feature")
     if not isinstance(over, FeatureBasis):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,25 @@ class TestCheckpoints:
         with pytest.raises(ValueError) as info:
             m.load_checkpoint(str(path))
         assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    def test_large_declared_size_rejected_without_allocating_it(self, tmp_path):
+        """The tensors are checked against the header's layout before any
+        array of the header's sizes exists: at feature_dim 200000 the first
+        weight alone would be 102 MB."""
+        path = tmp_path / "model.json"
+        cfg = m.ModelConfig(arch="gin", k=5, hidden=64)
+        m.save_checkpoint(m.init_params(cfg, 7, 2, np.random.default_rng(0)), str(path))
+        doc = json.loads(path.read_text())
+        doc["feature_dim"] = 200000
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"tensors\.layer0\.mlp0\.W\.shape must be \[200000, 64\]"):
+                m.load_checkpoint(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, f"peak {peak} bytes"
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -468,18 +468,25 @@ class TestFeatureVocabularyAgainstReference:
             new, ref = new + 0.0, ref + 0.0
         return new.shape == ref.shape and new.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize(
+        "read_order", [("coeffs", "t_set"), ("t_set", "coeffs")], ids=["coeffs-first", "t_set-first"]
+    )
     @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negative-zeros"])
     @pytest.mark.parametrize("seed", range(40))
-    def test_equal_bit_for_bit(self, seed, negative_zeros):
+    def test_equal_bit_for_bit(self, seed, negative_zeros, read_order):
+        """``coeffs`` and ``t_set`` are built on first read; whichever is
+        read first, both equal the reference's."""
         ds = vocabulary_set(seed, negative_zeros, exact=True)
         vocabulary, basis, rank, coeffs, t_set = reference_vocabulary(ds)
         fb = m.feature_vocabulary(ds)
+        built = {name: getattr(fb, name) for name in read_order}
         assert fb.rank == rank
         assert self.same_bits(fb.vocabulary, vocabulary, negative_zeros)
         assert self.same_bits(fb.basis, basis, negative_zeros)
-        assert len(fb.coeffs) == len(coeffs) and len(fb.t_set) == len(t_set)
-        for new, ref in zip(fb.coeffs + fb.t_set, coeffs + t_set):
+        assert len(built["coeffs"]) == len(coeffs) and len(built["t_set"]) == len(t_set)
+        for new, ref in zip(built["coeffs"] + built["t_set"], coeffs + t_set):
             assert self.same_bits(new, ref, negative_zeros)
+        assert fb.coeffs is built["coeffs"] and fb.t_set is built["t_set"]  # kept once built
         # -0.0 and 0.0 are one row, stored as 0.0
         assert not np.signbit(fb.vocabulary_star[fb.vocabulary_star == 0.0]).any()
 
@@ -498,7 +505,7 @@ class TestFeatureVocabularyAgainstReference:
             monkeypatch.setattr(ifmixup.graphs, "_row_hashes", one_hash_for_all)
         if block_rows is not None:
             monkeypatch.setattr(ifmixup.graphs, "_DEDUP_BLOCK_ROWS", block_rows)
-        self.test_equal_bit_for_bit(seed, negative_zeros)
+        self.test_equal_bit_for_bit(seed, negative_zeros, ("coeffs", "t_set"))
 
     @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negative-zeros"])
     @pytest.mark.parametrize("seed", range(40))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -787,6 +788,23 @@ class TestIntrusionAudit:
         r1 = m.intrusion_audit(ds, 30, m.BetaParams(2, 2), np.random.default_rng(3))
         r2 = m.intrusion_audit(ds, 30, m.BetaParams(2, 2), np.random.default_rng(3))
         assert r1.to_text() == r2.to_text()
+
+    def test_independent_audit_gathers_no_coefficients(self):
+        """An independent-mode audit reads neither ``coeffs`` nor ``t_set``,
+        so it never holds the per-node coefficient gather (rows x rank
+        doubles) that ``coeffs`` would take."""
+        parsed = m.make_synthetic_molecules(10000, seed=5)
+        ds = m.encode_node_features(parsed, "one_hot_degree")
+        gather = sum(g.n for g in ds.graphs()) * m.feature_vocabulary(ds).rank * 8
+        assert gather >= 10_000_000
+        tracemalloc.start()
+        try:
+            report = m.intrusion_audit(ds, 5, m.BetaParams(20, 1), np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.mode == "independent" and report.ok()
+        assert peak < gather, f"peak {peak} bytes, gather {gather} bytes"
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_trials_below_one_rejected(self, trials):
