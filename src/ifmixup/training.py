@@ -83,7 +83,7 @@ class TrainConfig:
     lr0: float = rule(0.01, float, "(0, inf)")
     batch_size: int = rule(32, int, "[1, inf)")
     epochs: int = rule(350, int, "[1, inf)")
-    folds: int = rule(10, int, "[1, inf)")
+    folds: int = rule(10, int, "[2, inf)")
     runs: int = rule(3, int, "[1, inf)")
     seed: int = rule(0, int, "[0, inf)")
     weight_decay: float = rule(0.01, float, "[0, inf)")

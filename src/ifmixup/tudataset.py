@@ -11,7 +11,7 @@ dataset name):
 Each nonempty line holds tokens separated by commas or whitespace: signed
 ASCII decimal int64 integers (float64 numbers in the weighted-graph files),
 with no comment lines. Every ParseError names the file, and the line where
-there is one.
+there is one, counting every line of the file, blank ones included.
 
 Parsing produces symmetric binary adjacency matrices (the usual duplicated
 directed pairs collapse; a single direction also yields the edge) and
@@ -30,6 +30,7 @@ ships for tests and demos that must run without downloaded data.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -108,54 +109,60 @@ class ParsedDataset:
         return all(g.node_labels is not None for g in self.graphs)
 
 
-def _read_rows(
-    path: str, n_cols: int | None, dtype: type = np.int64
-) -> tuple[np.ndarray, list[int]]:
+def _token_lines(path: str) -> dict[int, str]:
+    """Each stripped line of ``path`` that holds a token, keyed by its 1-based
+    number among all lines, blank ones included, split as ``_read_rows`` splits."""
+    with open(path, encoding="utf-8") as fh:
+        return {ln: s.strip() for ln, s in enumerate(fh, 1) if s.replace(",", " ").strip()}
+
+
+def _row_error(path: str, row: int, message: str) -> ParseError:
+    """A ParseError naming the line of ``path`` that holds values row ``row``."""
+    ln = list(_token_lines(path))[row]
+    return ParseError(f"{os.path.basename(path)} line {ln}: {message}")
+
+
+def _read_rows(path: str, n_cols: int | None, dtype: type = np.int64) -> np.ndarray:
     """The ``(rows, n_cols)`` values of a numeric text file, one row per
-    nonempty line, and each row's line number; ``n_cols=None`` takes the
-    first row's width. One ``np.loadtxt`` call reads every row; only if it
-    fails, or the width is wrong, does the same call check the rows one at a
-    time to name the first bad line."""
-    name = os.path.basename(path)
+    nonempty line; ``n_cols=None`` takes the first row's width. One
+    ``np.loadtxt`` call reads the whole text, commas turned into spaces, and
+    walks no line in Python. Only if it fails, or the width is wrong, does
+    ``_token_lines`` walk the lines, each parsed alone by the same call, to
+    name the first bad one. Both read in universal-newline mode."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().replace(",", " ")
     except FileNotFoundError:
         raise ParseError(f"missing required file: {path}") from None
-    lines = text.replace(",", " ").split("\n")
-    numbers = [ln for ln, line in enumerate(lines, start=1) if line.strip()]
-    rows = [lines[ln - 1] for ln in numbers]
-    if not rows:
-        return np.zeros((0, n_cols or 0), dtype=dtype), []
-    n_cols = n_cols or len(rows[0].split())
+    if not text.strip():
+        return np.zeros((0, n_cols or 0), dtype=dtype)
 
-    def parse(block: list[str]) -> np.ndarray:
-        return np.loadtxt(block, dtype=dtype, comments=None, ndmin=2)
+    def parse(block: str) -> np.ndarray:
+        return np.loadtxt(io.StringIO(block), dtype=dtype, comments=None, ndmin=2)
 
     try:
-        values = parse(rows)
-        if values.shape[1] == n_cols:
-            return values, numbers
+        values = parse(text)
+        if values.shape[1] == (n_cols or values.shape[1]):
+            return values
     except ValueError:
         pass
     kind = "non-integer" if np.issubdtype(dtype, np.integer) else "non-numeric"
-    for ln, row in zip(numbers, rows):
-        got = len(row.split())
+    for k, line in enumerate(_token_lines(path).values()):
+        got = len(line.replace(",", " ").split())
+        n_cols = n_cols or got
         if got != n_cols:
-            raise ParseError(f"{name} line {ln}: expected {n_cols} values, got {got}")
+            raise _row_error(path, k, f"expected {n_cols} values, got {got}")
         try:
-            parse([row])
+            parse(line.replace(",", " "))
         except ValueError:
-            line = text.split("\n")[ln - 1].strip()
-            raise ParseError(
-                f"{name} line {ln}: {kind} token in {line!r}, expected {np.dtype(dtype).name}"
-            ) from None
-    raise ParseError(f"{name}: unreadable numeric text")
+            message = f"{kind} token in {line!r}, expected {np.dtype(dtype).name}"
+            raise _row_error(path, k, message) from None
+    raise ParseError(f"{os.path.basename(path)}: unreadable numeric text")
 
 
 def _read_labels(path: str, count: int, owners: str) -> np.ndarray:
     """The one integer label on each nonempty line; there must be ``count``."""
-    labels = _read_rows(path, 1)[0][:, 0]
+    labels = _read_rows(path, 1)[:, 0]
     if labels.size != count:
         raise ParseError(f"{os.path.basename(path)}: {labels.size} labels for {count} {owners}")
     return labels
@@ -169,7 +176,7 @@ def parse_tudataset(files: TUDatasetFiles) -> ParsedDataset:
     indices in sorted order of their original values.
     """
     ind_name = os.path.basename(files.indicator_path)
-    node_graph = _read_rows(files.indicator_path, 1)[0][:, 0]
+    node_graph = _read_rows(files.indicator_path, 1)[:, 0]
     graph_ids, sizes = np.unique(node_graph, return_counts=True)
     n_nodes, n_graphs = node_graph.size, graph_ids.size
     if n_nodes == 0:
@@ -182,20 +189,19 @@ def parse_tudataset(files: TUDatasetFiles) -> ParsedDataset:
     local = np.empty(n_nodes, dtype=np.int64)
     local[order] = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
-    edges, edge_lines = _read_rows(files.a_path, 2)
+    edges = _read_rows(files.a_path, 2)
     out_of_range = ((edges < 1) | (edges > n_nodes)).any(axis=1)
     ends = np.where(out_of_range[:, None], 1, edges) - 1
     gids = node_graph[ends]
     bad = out_of_range | (gids[:, 0] != gids[:, 1]) | (ends[:, 0] == ends[:, 1])
     if bad.any():
         k = int(np.argmax(bad))
-        prefix = f"{os.path.basename(files.a_path)} line {edge_lines[k]}"
         (i, j), (gi, gj) = edges[k].tolist(), gids[k].tolist()
         if out_of_range[k]:
-            raise ParseError(f"{prefix}: node id out of range 1..{n_nodes}: ({i}, {j})")
+            raise _row_error(files.a_path, k, f"node id out of range 1..{n_nodes}: ({i}, {j})")
         if gi != gj:
-            raise ParseError(f"{prefix}: edge ({i}, {j}) crosses graphs {gi} and {gj}")
-        raise ParseError(f"{prefix}: self-loop on node {i}")
+            raise _row_error(files.a_path, k, f"edge ({i}, {j}) crosses graphs {gi} and {gj}")
+        raise _row_error(files.a_path, k, f"self-loop on node {i}")
     # Every graph's matrix is a block of one buffer, where node u's row starts
     # at row_start[u]; each edge sets (i, j) and (j, i).
     area = sizes * sizes
@@ -224,7 +230,8 @@ def encode_node_features(ds: ParsedDataset, mode: str = "one_hot_labels") -> Gra
     one_hot_labels: d = number of distinct node labels in the dataset, each
     row has a single 1 at its label's (sorted) index. one_hot_degree: d =
     max degree + 1, each row a one-hot of the node's degree. Both produce a
-    linearly independent feature vocabulary by construction.
+    linearly independent feature vocabulary by construction. Each encoded
+    graph shares its edge array with the parsed graph it came from.
     """
     if mode == "one_hot_labels":
         if not ds.has_node_labels():
@@ -242,7 +249,7 @@ def encode_node_features(ds: ParsedDataset, mode: str = "one_hot_labels") -> Gra
     eye = np.eye(d)
     one_hots = [LabelDistribution.one_hot(c, ds.num_classes) for c in range(ds.num_classes)]
     items = [
-        (NodeFeaturedGraph(eye[col], g.e.copy()), one_hots[c])
+        (NodeFeaturedGraph(eye[col], g.e), one_hots[c])
         for g, col, c in zip(ds.graphs, cols, ds.labels)
     ]
     return GraphDataset(items, ds.num_classes, d, ds.name)
@@ -352,31 +359,15 @@ def compare_table5(stats: DatasetStats) -> Table5Check | None:
     ref = TABLE5.get(key)
     if ref is None:
         return None
-    rows = [
-        ("graphs", float(ref.graphs), float(stats.num_graphs), ref.graphs == stats.num_graphs),
-        (
-            "mean nodes",
-            ref.mean_nodes,
-            stats.mean_nodes,
-            abs(ref.mean_nodes - stats.mean_nodes) <= STATS_TOL,
-        ),
-        (
-            "mean edges",
-            ref.mean_edges_directed / 2.0,
-            stats.mean_edges,
-            abs(ref.mean_edges_directed / 2.0 - stats.mean_edges) <= STATS_TOL,
-        ),
-        ("classes", float(ref.classes), float(stats.num_classes), ref.classes == stats.num_classes),
+    fields = [
+        ("graphs", ref.graphs, stats.num_graphs, 0),
+        ("mean nodes", ref.mean_nodes, stats.mean_nodes, STATS_TOL),
+        ("mean edges", ref.mean_edges_directed / 2.0, stats.mean_edges, STATS_TOL),
+        ("classes", ref.classes, stats.num_classes, 0),
     ]
     if ref.node_label_count is not None:
-        rows.append(
-            (
-                "feature dim",
-                float(ref.node_label_count),
-                float(stats.feature_dim),
-                ref.node_label_count == stats.feature_dim,
-            )
-        )
+        fields.append(("feature dim", ref.node_label_count, stats.feature_dim, 0))
+    rows = [(name, float(ref), float(got), abs(ref - got) <= tol) for name, ref, got, tol in fields]
     return Table5Check(key, rows)
 
 
@@ -428,26 +419,30 @@ def read_weighted_graph(directory: str, name: str) -> NodeFeaturedGraph:
     """Inverse of write_weighted_graph (bit-exact: values use repr round trip)."""
     files = TUDatasetFiles(directory, name)
     feat_path, w_path = files.path("node_features"), files.path("edge_weights")
-    v = _read_rows(feat_path, None, np.float64)[0]
+    v = _read_rows(feat_path, None, np.float64)
     n = v.shape[0]
     if n == 0:
         raise ParseError(f"{os.path.basename(feat_path)}: no feature rows")
-    edges, edge_lines = _read_rows(files.a_path, 2)
-    weights = _read_rows(w_path, 1, np.float64)[0][:, 0]
+    edges = _read_rows(files.a_path, 2)
+    weights = _read_rows(w_path, 1, np.float64)[:, 0]
     if weights.size != len(edges):
         raise ParseError(
             f"{os.path.basename(w_path)}: {weights.size} weights for {len(edges)} edges"
         )
     out_of_range = ((edges < 1) | (edges > n)).any(axis=1)
     if out_of_range.any():
-        ln = edge_lines[int(np.argmax(out_of_range))]
-        raise ParseError(
-            f"{os.path.basename(files.a_path)} line {ln}: node id out of range 1..{n}"
-        )
-    # (i, j) then (j, i) for each line in file order, so a later line wins
-    ends = edges - 1
+        k = int(np.argmax(out_of_range))
+        raise _row_error(files.a_path, k, f"node id out of range 1..{n}")
+    # A pair, in either direction, takes its first line's weight; later lines repeat it bit for bit.
+    lo, hi = np.sort(edges - 1, axis=1).T
+    first = np.unique(lo * n + hi, return_index=True)[1]
     e = np.zeros((n, n))
-    e[ends.ravel(), ends[:, ::-1].ravel()] = np.repeat(weights, 2)
+    e[lo[first], hi[first]] = e[hi[first], lo[first]] = weights[first]
+    differs = e[lo, hi].view(np.int64) != weights.view(np.int64)
+    if differs.any():
+        k = int(np.argmax(differs))
+        w, w0 = weights[k].item(), e[lo[k], hi[k]].item()
+        raise _row_error(w_path, k, f"weight {w!r} differs from {w0!r} on an earlier line")
     return NodeFeaturedGraph(v, e)
 
 

@@ -352,6 +352,7 @@ class TestConfigHoles:
         "route,doc,message",
         [
             ("config", {"seed": -1}, "seed must be an integer in [0, inf), got -1"),
+            ("config", {"folds": 1}, "folds must be an integer in [2, inf), got 1"),
             ("config", {"lr0": NAN}, "lr0 must be a number in (0, inf), got nan"),
             ("config", {"lr0": True}, "lr0 must be a number, got True"),
             ("config", {"weight_decay": INF}, "weight_decay must be a number in [0, inf), got inf"),

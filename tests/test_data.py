@@ -88,6 +88,14 @@ class TestParse:
         with pytest.raises(m.ParseError, match=r"T_A.txt line 2: node id out of range 1\.\.2"):
             m.parse_tudataset(files)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_numbers_count_every_line(self, tmp_path, newline):
+        files = make_files(tmp_path, a="", indicator="1\n1\n", labels="1\n")
+        lines = ["1, 2", "", " \t ", ", ,", "2, 7", ""]
+        pathlib.Path(files.a_path).write_bytes(newline.join(lines).encode())
+        with pytest.raises(m.ParseError, match=r"^T_A.txt line 5: node id out of range 1\.\.2"):
+            m.parse_tudataset(files)
+
     def test_non_integer_token_with_line(self, tmp_path):
         files = make_files(tmp_path, a="1, 2\nx, 1\n", indicator="1\n1\n", labels="1\n")
         with pytest.raises(m.ParseError, match="T_A.txt line 2: non-integer token"):
@@ -245,6 +253,16 @@ class TestRoundTrip:
             ("edge_weights", "0.5\n0.5 0.5\n", " line 2: expected 1 values, got 2"),
             ("edge_weights", "0.5\n", ": 1 weights for 2 edges"),
             ("A", "1, 2\n2, 3\n", r" line 2: node id out of range 1\.\.2"),
+            (
+                "edge_weights",
+                "0.9\n0.5\n",
+                r" line 2: weight 0\.5 differs from 0\.9 on an earlier line$",
+            ),
+            (
+                "edge_weights",
+                "0.5\n\n0.25\n",
+                r" line 3: weight 0\.25 differs from 0\.5 on an earlier line$",
+            ),
         ],
     )
     def test_read_weighted_malformed_file_named(self, tmp_path, suffix, text, message):
@@ -257,6 +275,25 @@ INT64 = st.integers(-(2**63), 2**63 - 1)
 OUTSIDE_INT64 = st.one_of(st.integers(2**63, 2**80), st.integers(-(2**80), -(2**63) - 1))
 # Python's int() accepts the last two; the parser takes only signed ASCII decimal int64
 STRAY_TOKENS = ["x", "1.5", "1e3", "0x1", "nan", "--1", "1_000", "\u0661"]
+# Lines that hold no token: blank, whitespace-only and comma-only
+FILLER_LINES = ["", " ", "\t  ", ",", " , ,"]
+
+
+def write_with_fillers(data, path, lines):
+    """Write ``lines`` to ``path`` with drawn filler lines among them and
+    ``\\n`` or ``\\r\\n`` endings; returns the number, counting every line
+    of the file, that each of ``lines`` gets."""
+    fillers = st.tuples(st.integers(0, len(lines)), st.sampled_from(FILLER_LINES))
+    inserts = data.draw(st.lists(fillers, max_size=6))  # (index of the next line, filler)
+    written, numbers = [], []
+    for i, line in enumerate([*lines, None]):
+        written += [filler for at, filler in inserts if at == i]
+        if line is not None:
+            written.append(line)
+            numbers.append(len(written))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    pathlib.Path(path).write_bytes("".join(line + newline for line in written).encode())
+    return numbers
 
 
 @st.composite
@@ -276,15 +313,26 @@ def parsed_datasets(draw):
     return m.ParsedDataset("T", graphs, [values.index(r) for r in raw], len(values), values)
 
 
+def file_paths(files, ds):
+    paths = [files.a_path, files.indicator_path, files.graph_labels_path]
+    return paths + [files.node_labels_path] if ds.has_node_labels() else paths
+
+
 class TestParserProperties:
-    """write_tudataset output parses back exactly; one corruption of it
-    raises ParseError naming the corrupted file, and line where there is one."""
+    """write_tudataset output, with filler lines and maybe CRLF endings put
+    in, parses back exactly; one corruption of it raises ParseError naming
+    the corrupted file, and the line, as the file numbers it, where there is
+    one."""
 
     @settings(max_examples=100)
-    @given(ds=parsed_datasets())
-    def test_written_files_parse_back_bit_for_bit(self, ds):
+    @given(ds=parsed_datasets(), data=st.data())
+    def test_written_files_parse_back_bit_for_bit(self, ds, data):
         with tempfile.TemporaryDirectory() as directory:
-            back = m.parse_tudataset(m.write_tudataset(ds, directory))
+            files = m.write_tudataset(ds, directory)
+            for path in file_paths(files, ds):
+                lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
+                write_with_fillers(data, path, lines)
+            back = m.parse_tudataset(files)
         assert (back.labels, back.label_values, back.num_classes) == (
             ds.labels, ds.label_values, ds.num_classes
         )
@@ -301,9 +349,7 @@ class TestParserProperties:
     def test_one_corruption_is_named(self, ds, data):
         with tempfile.TemporaryDirectory() as directory:
             files = m.write_tudataset(ds, directory)
-            paths = [files.a_path, files.indicator_path, files.graph_labels_path]
-            if ds.has_node_labels():
-                paths.append(files.node_labels_path)
+            paths = file_paths(files, ds)
             text = {p: pathlib.Path(p).read_text(encoding="utf-8").splitlines() for p in paths}
             kinds = ["stray", "extra", "outside", "crossing", "gap"]
             kinds += ["truncated"] if text[files.a_path] else []
@@ -315,7 +361,7 @@ class TestParserProperties:
             lines = text[path]
             k = data.draw(st.integers(0, max(len(lines) - 1, 0)))
             name = os.path.basename(path)
-            expected = f"{name} line {k + 1}: "
+            named, detail = k, ""  # which of the file's lines the error names, and how
             if kind == "truncated":
                 lines[k] = lines[k].split(",")[0]
             elif kind == "extra":
@@ -330,14 +376,16 @@ class TestParserProperties:
                 n0, n1 = ds.graphs[0].n, ds.graphs[1].n
                 ends = [data.draw(st.integers(1, n0)), data.draw(st.integers(n0 + 1, n0 + n1))]
                 lines.append("{}, {}".format(*data.draw(st.permutations(ends))))
-                expected = f"{name} line {len(lines)}: edge"
+                named, detail = len(lines) - 1, "edge"
             else:  # the last graph's id leaves a gap or drops below 1
                 last = str(len(ds))
                 ids = st.one_of(st.integers(len(ds) + 1, 2**63 - 1), st.integers(-(2**63), 0))
                 gap = str(data.draw(ids))
                 lines[:] = [gap if line == last else line for line in lines]
                 expected = f"{name}: graph ids must be consecutive"
-            pathlib.Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            numbers = write_with_fillers(data, path, lines)
+            if kind != "gap":
+                expected = f"{name} line {numbers[named]}: {detail}"
             with pytest.raises(m.ParseError) as exc:
                 m.parse_tudataset(files)
         assert str(exc.value).startswith(expected)

@@ -34,7 +34,7 @@ VALID = {
     "lr0": st.floats(1e-4, 0.1),
     "batch_size": st.integers(1, 4),
     "epochs": st.integers(1, 3),
-    "folds": st.integers(1, 3),
+    "folds": st.integers(2, 3),
     "runs": st.integers(1, 3),
     "seed": st.integers(0, 2**32),
     "weight_decay": st.floats(0.0, 0.1),
