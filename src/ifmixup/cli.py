@@ -56,6 +56,7 @@ from .tudataset import (
 )
 
 MIXED_NAME = "MIXED"
+_SIDECAR_VERSION = 1  # the version field of a mix's MIXED_meta.json
 _ENCODINGS = ("one_hot_labels", "one_hot_degree")
 _OVERRIDE_FLAGS = ("epochs", "seed", "runs", "folds")  # TrainConfig fields the flags override
 
@@ -144,7 +145,7 @@ def _cmd_mix(args) -> int:
     write_weighted_graph(mixed.graph, args.out, MIXED_NAME)
     meta = {
         "format": "ifmixup-mixed-sample",
-        "version": 1,
+        "version": _SIDECAR_VERSION,
         "dataset": {
             "directory": os.path.abspath(args.directory),
             "name": args.name,
@@ -176,6 +177,8 @@ def _cmd_recover(args) -> int:
     meta = _read_config(meta_path)
     if meta.get("format") != "ifmixup-mixed-sample":
         raise ParseError(f"{meta_path}: not a mixed-sample sidecar")
+    if meta.get("version") != _SIDECAR_VERSION:
+        raise ParseError(f"{meta_path}: unsupported sidecar version {meta.get('version')}")
     lam = meta.get("lam")
     if not (isinstance(lam, float) and 0.0 < lam < 1.0):
         raise ParseError(f"{meta_path}: 'lam' must be a float in (0, 1), got {lam!r}")
@@ -376,11 +379,7 @@ def _cmd_plot(args) -> int:
     else:
         if not os.path.exists(args.source):
             raise ParseError(f"metrics file not found: {args.source}")
-        try:
-            log = load_metrics_csv(args.source)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-        csv_path, svg_path = emit_plot_data("loss_curve", log, args.out)
+        csv_path, svg_path = emit_plot_data("loss_curve", load_metrics_csv(args.source), args.out)
     print(f"wrote {csv_path} and {svg_path}")
     return 0
 

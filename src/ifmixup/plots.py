@@ -7,20 +7,22 @@
 * sweep_bars  - mean +- std accuracy per (dataset, method, setting) cell
   (Beta/depth sweep figures).
 
-CSV is the machine interface; the SVG renders the same numbers as a plain
-line or bar chart with no external dependencies. Charts carry one path (or
-one bar group) per series.
+Each kind builds one table - a CSV header, its rows and the chart that draws
+them - and one writer saves both files. The SVG is a plain line or bar chart
+with no external dependencies, one path (or one bar group) per series. A line
+chart skips the points that are not finite (a U-shaped Beta's density at 0
+and 1) and spans its axes on the rest; the CSV keeps every value.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .mixing import BetaParams, beta_pdf
+from .mixing import beta_pdf
 from .training import MetricsLog
 
 PLOT_KINDS = ("beta_density", "loss_curve", "sweep_bars")
@@ -29,7 +31,8 @@ BETA_DENSITY_POINTS = 1001
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 640, 400
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 30, 45
+# The plot box inside the margins (left 60, right 20, top 30, bottom 45).
+_LEFT, _RIGHT, _TOP, _BOTTOM = 60, _WIDTH - 20, 30, _HEIGHT - 45
 
 
 @dataclass(frozen=True)
@@ -47,93 +50,93 @@ def emit_plot_data(kind: str, inputs, out_base: str) -> tuple[str, str]:
     """Write <out_base>.csv and <out_base>.svg; returns both paths.
 
     inputs by kind: beta_density - a sequence of BetaParams; loss_curve - a
-    MetricsLog or a {method: MetricsLog} mapping; sweep_bars - a sequence of
-    SweepBarRow (or equal-length tuples).
+    MetricsLog or a {method: MetricsLog} mapping; sweep_bars - a sequence of SweepBarRow.
     """
-    if kind == "beta_density":
-        return _emit_beta_density(list(inputs), out_base)
-    if kind == "loss_curve":
-        logs = {"train": inputs} if isinstance(inputs, MetricsLog) else dict(inputs)
-        return _emit_loss_curve(logs, out_base)
-    if kind == "sweep_bars":
-        rows = [r if isinstance(r, SweepBarRow) else SweepBarRow(*r) for r in inputs]
-        return _emit_sweep_bars(rows, out_base)
-    raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+    tables = {"beta_density": _beta_density, "loss_curve": _loss_curve, "sweep_bars": _sweep_bars}
+    if kind not in tables:
+        raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+    header, rows, svg = tables[kind](inputs)
+    csv_path, svg_path = f"{out_base}.csv", f"{out_base}.svg"
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        # repr keeps every float bit for bit; other cells are written as given
+        writer.writerows(
+            [repr(float(c)) if isinstance(c, (float, np.floating)) else c for c in row]
+            for row in rows
+        )
+    with open(svg_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(svg) + "\n</svg>\n")
+    return csv_path, svg_path
 
 
-# -- data preparation -------------------------------------------------------------
-
-
-def _emit_beta_density(params: list[BetaParams], out_base: str) -> tuple[str, str]:
+def _beta_density(params):
+    params = list(params)
     if not params:
         raise ValueError("need at least one Beta configuration")
     xs = np.linspace(0.0, 1.0, BETA_DENSITY_POINTS)
     names = [f"beta({p.alpha:g},{p.beta:g})" for p in params]
     cols = [np.array([beta_pdf(p, float(x)) for x in xs]) for p in params]
-
-    csv_path = f"{out_base}.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + names)
-        for i, x in enumerate(xs):
-            writer.writerow([repr(float(x))] + [repr(float(c[i])) for c in cols])
-
-    series = [(name, xs, col) for name, col in zip(names, cols)]
-    svg_path = f"{out_base}.svg"
-    _write_line_svg(svg_path, series, x_label="lambda", y_label="density")
-    return csv_path, svg_path
+    rows = [[x, *(c[i] for c in cols)] for i, x in enumerate(xs)]
+    return ["x", *names], rows, _line_chart(names, xs, cols, "lambda", "density")
 
 
-def _emit_loss_curve(logs: dict[str, MetricsLog], out_base: str) -> tuple[str, str]:
-    if not logs:
-        raise ValueError("need at least one metrics log")
-    lengths = {len(lg.train_loss) for lg in logs.values()}
+def _loss_curve(inputs):
+    logs = {"train": inputs} if isinstance(inputs, MetricsLog) else dict(inputs)
+    lengths = {len(col) for lg in logs.values() for col in (lg.train_loss, lg.val_acc)}
+    if not any(lengths):
+        raise ValueError("need at least one nonempty metrics log")
     if len(lengths) != 1:
         raise ValueError(f"metric logs have differing epoch counts: {sorted(lengths)}")
     n_epochs = lengths.pop()
-    if n_epochs == 0:
-        raise ValueError("metrics log is empty")
-
     single = len(logs) == 1
-    csv_path = f"{out_base}.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if single:
-            header = ["epoch", "train_loss", "val_acc"]
-        else:
-            header = ["epoch"]
-            for name in logs:
-                header += [f"{name}_train_loss", f"{name}_val_acc"]
-        writer.writerow(header)
-        for epoch in range(n_epochs):
-            row = [epoch]
-            for lg in logs.values():
-                row += [repr(lg.train_loss[epoch]), repr(lg.val_acc[epoch])]
-            writer.writerow(row)
-
-    xs = np.arange(n_epochs, dtype=np.float64)
-    series = []
+    header, names, cols = ["epoch"], [], []
     for name, lg in logs.items():
-        prefix = "" if single else f"{name} "
-        series.append((f"{prefix}train loss", xs, np.asarray(lg.train_loss)))
-        series.append((f"{prefix}val acc", xs, np.asarray(lg.val_acc)))
-    svg_path = f"{out_base}.svg"
-    _write_line_svg(svg_path, series, x_label="epoch", y_label="value")
-    return csv_path, svg_path
+        column, label = ("", "") if single else (f"{name}_", f"{name} ")
+        header += [f"{column}train_loss", f"{column}val_acc"]
+        names += [f"{label}train loss", f"{label}val acc"]
+        cols += [lg.train_loss, lg.val_acc]
+    rows = [[epoch, *(c[epoch] for c in cols)] for epoch in range(n_epochs)]
+    xs = np.arange(n_epochs, dtype=np.float64)
+    return header, rows, _line_chart(names, xs, cols, "epoch", "value")
 
 
-def _emit_sweep_bars(rows: list[SweepBarRow], out_base: str) -> tuple[str, str]:
+def _sweep_bars(rows):
+    """The sweep table, drawn as grouped bars: a <g> per (dataset, method), a bar per setting."""
+    rows = list(rows)
     if not rows:
         raise ValueError("need at least one sweep row")
-    csv_path = f"{out_base}.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "method", "setting", "mean", "std"])
-        for r in rows:
-            writer.writerow([r.dataset, r.method, r.setting, repr(r.mean), repr(r.std)])
-    svg_path = f"{out_base}.svg"
-    _write_bar_svg(svg_path, rows)
-    return csv_path, svg_path
+    settings = list(dict.fromkeys(r.setting for r in rows))
+    series_names = list(dict.fromkeys(f"{r.dataset}/{r.method}" for r in rows))
+    y_hi = max(r.mean + r.std for r in rows)
+    y_hi = y_hi if y_hi > 0 else 1.0
+    group_w = (_RIGHT - _LEFT) / len(settings)
+    bar_w = 0.8 * group_w / len(series_names)
+
+    parts = _frame("setting", "accuracy", (0.0, y_hi))
+    for si, sname in enumerate(series_names):
+        color = _PALETTE[si % len(_PALETTE)]
+        bars = []
+        for r in (r for r in rows if f"{r.dataset}/{r.method}" == sname):
+            gi = settings.index(r.setting)
+            x = _LEFT + gi * group_w + 0.1 * group_w + si * bar_w
+            y = _scale(r.mean, 0.0, y_hi, _BOTTOM, _TOP)
+            bars.append(
+                f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar_w:.1f}" '
+                f'height="{_BOTTOM - y:.1f}" fill="{color}"/>'
+            )
+            if r.std > 0:
+                y1, y2 = (_scale(r.mean + s, 0.0, y_hi, _BOTTOM, _TOP) for s in (-r.std, r.std))
+                cx = x + bar_w / 2
+                bars.append(
+                    f'<line x1="{cx:.1f}" y1="{y1:.1f}" x2="{cx:.1f}" y2="{y2:.1f}" '
+                    f'stroke="black" stroke-width="1"/>'
+                )
+        parts.append(f'<g id="{escape(sname, {chr(34): "&quot;"})}">' + "".join(bars) + "</g>")
+        parts += _legend_entry(si, sname, color, bar=True)
+    for gi, setting in enumerate(settings):
+        parts.append(_x_text(_LEFT + (gi + 0.5) * group_w, str(setting)))
+    return [f.name for f in fields(SweepBarRow)], [astuple(r) for r in rows], parts
 
 
 # -- SVG rendering ------------------------------------------------------------------
@@ -145,129 +148,81 @@ def _scale(v, lo, hi, out_lo, out_hi):
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def _svg_open(width: int, height: int) -> list[str]:
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-
-
-def _axes(x_label: str, y_label: str, x_ticks, y_ticks, x_lo, x_hi, y_lo, y_hi) -> list[str]:
-    left, right = _MARGIN_L, _WIDTH - _MARGIN_R
-    top, bottom = _MARGIN_T, _HEIGHT - _MARGIN_B
-    parts = [
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>',
-        f'<text x="{(left + right) / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
-        f'font-size="13">{escape(x_label)}</text>',
-        f'<text x="14" y="{(top + bottom) / 2:.1f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 14 {(top + bottom) / 2:.1f})">{escape(y_label)}</text>',
-    ]
-    for t in x_ticks:
-        px = _scale(t, x_lo, x_hi, left, right)
-        parts.append(f'<line x1="{px:.1f}" y1="{bottom}" x2="{px:.1f}" y2="{bottom + 4}" stroke="black"/>')
-        parts.append(
-            f'<text x="{px:.1f}" y="{bottom + 17}" text-anchor="middle" font-size="11">{t:g}</text>'
-        )
-    for t in y_ticks:
-        py = _scale(t, y_lo, y_hi, bottom, top)
-        parts.append(f'<line x1="{left - 4}" y1="{py:.1f}" x2="{left}" y2="{py:.1f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{left - 7}" y="{py + 4:.1f}" text-anchor="end" font-size="11">{t:g}</text>'
-        )
-    return parts
-
-
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi == lo:
         return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _write_line_svg(path: str, series, x_label: str, y_label: str) -> None:
-    """series: list of (name, x array, y array); one <path> per series."""
-    left, right = _MARGIN_L, _WIDTH - _MARGIN_R
-    top, bottom = _MARGIN_T, _HEIGHT - _MARGIN_B
-    x_lo = min(float(xs.min()) for _, xs, _ in series)
-    x_hi = max(float(xs.max()) for _, xs, _ in series)
-    y_lo = min(0.0, min(float(ys.min()) for _, _, ys in series))
-    y_hi = max(float(ys.max()) for _, _, ys in series)
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+def _x_text(px: float, text: str) -> str:
+    """A label under the x axis, centred at ``px``."""
+    return (
+        f'<text x="{px:.1f}" y="{_BOTTOM + 17}" text-anchor="middle" font-size="11">'
+        f"{escape(text)}</text>"
+    )
 
-    parts = _svg_open(_WIDTH, _HEIGHT)
-    parts += _axes(x_label, y_label, _ticks(x_lo, x_hi), _ticks(y_lo, y_hi), x_lo, x_hi, y_lo, y_hi)
-    for i, (name, xs, ys) in enumerate(series):
+
+def _frame(x_label: str, y_label: str, y_span, x_span=None) -> list[str]:
+    """An open SVG document: background, axes, axis labels, ticks on y and on x if spanned."""
+    mid_x, mid_y = (_LEFT + _RIGHT) / 2, (_TOP + _BOTTOM) / 2
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<line x1="{_LEFT}" y1="{_BOTTOM}" x2="{_RIGHT}" y2="{_BOTTOM}" stroke="black"/>',
+        f'<line x1="{_LEFT}" y1="{_TOP}" x2="{_LEFT}" y2="{_BOTTOM}" stroke="black"/>',
+        f'<text x="{mid_x:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
+        f'font-size="13">{escape(x_label)}</text>',
+        f'<text x="14" y="{mid_y:.1f}" text-anchor="middle" font-size="13" '
+        f'transform="rotate(-90 14 {mid_y:.1f})">{escape(y_label)}</text>',
+    ]
+    for t in _ticks(*x_span) if x_span else []:
+        px = _scale(t, *x_span, _LEFT, _RIGHT)
+        parts += [
+            f'<line x1="{px:.1f}" y1="{_BOTTOM}" x2="{px:.1f}" y2="{_BOTTOM + 4}" stroke="black"/>',
+            _x_text(px, f"{t:g}"),
+        ]
+    for t in _ticks(*y_span):
+        py = _scale(t, *y_span, _BOTTOM, _TOP)
+        parts += [
+            f'<line x1="{_LEFT - 4}" y1="{py:.1f}" x2="{_LEFT}" y2="{py:.1f}" stroke="black"/>',
+            f'<text x="{_LEFT - 7}" y="{py + 4:.1f}" text-anchor="end" font-size="11">{t:g}</text>',
+        ]
+    return parts
+
+
+def _legend_entry(i: int, name: str, color: str, bar: bool) -> list[str]:
+    """Row ``i`` of the legend: a swatch (a bar's square or a line's stroke) and the name."""
+    ly = _TOP + 14 + 14 * i
+    marker = (
+        f'<rect x="{_RIGHT - 150}" y="{ly - 9}" width="12" height="9" fill="{color}"/>'
+        if bar
+        else f'<line x1="{_RIGHT - 150}" y1="{ly - 4}" x2="{_RIGHT - 130}" y2="{ly - 4}" '
+        f'stroke="{color}" stroke-width="2"/>'
+    )
+    text_x = _RIGHT - (133 if bar else 125)
+    return [marker, f'<text x="{text_x}" y="{ly}" font-size="11">{escape(name)}</text>']
+
+
+def _line_chart(names, xs, cols, x_label: str, y_label: str) -> list[str]:
+    """One <path> per column of ``cols`` over the shared ``xs``, through its finite points."""
+    ys = [np.asarray(c, dtype=np.float64) for c in cols]
+    finite = np.concatenate([y[np.isfinite(y)] for y in ys])
+    if finite.size == 0:
+        raise ValueError("no finite point to draw")
+    x_span = (float(xs.min()), float(xs.max()))
+    y_lo, y_hi = min(0.0, float(finite.min())), float(finite.max())
+    y_span = (y_lo, y_hi if y_hi != y_lo else y_lo + 1.0)
+    parts = _frame(x_label, y_label, y_span, x_span)
+    for i, (name, y) in enumerate(zip(names, ys)):
         color = _PALETTE[i % len(_PALETTE)]
+        keep = np.isfinite(y)
         pts = [
-            f"{_scale(float(x), x_lo, x_hi, left, right):.2f},"
-            f"{_scale(float(y), y_lo, y_hi, bottom, top):.2f}"
-            for x, y in zip(xs, ys)
+            f"{_scale(px, *x_span, _LEFT, _RIGHT):.2f},{_scale(py, *y_span, _BOTTOM, _TOP):.2f}"
+            for px, py in zip(xs[keep].tolist(), y[keep].tolist())
         ]
         d = "M " + " L ".join(pts)
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        ly = top + 14 + 14 * i
-        parts.append(
-            f'<line x1="{right - 150}" y1="{ly - 4}" x2="{right - 130}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{right - 125}" y="{ly}" font-size="11">{escape(str(name))}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-def _write_bar_svg(path: str, rows: list[SweepBarRow]) -> None:
-    """Grouped bars: one <g> per (dataset, method) series, a bar per setting."""
-    left, right = _MARGIN_L, _WIDTH - _MARGIN_R
-    top, bottom = _MARGIN_T, _HEIGHT - _MARGIN_B
-    settings = list(dict.fromkeys(r.setting for r in rows))
-    series_names = list(dict.fromkeys(f"{r.dataset}/{r.method}" for r in rows))
-    y_hi = max(r.mean + r.std for r in rows)
-    y_hi = y_hi if y_hi > 0 else 1.0
-
-    group_w = (right - left) / max(len(settings), 1)
-    bar_w = 0.8 * group_w / max(len(series_names), 1)
-
-    parts = _svg_open(_WIDTH, _HEIGHT)
-    parts += _axes("setting", "accuracy", [], _ticks(0.0, y_hi), 0, 1, 0.0, y_hi)
-    for si, sname in enumerate(series_names):
-        color = _PALETTE[si % len(_PALETTE)]
-        bars = []
-        for r in rows:
-            if f"{r.dataset}/{r.method}" != sname:
-                continue
-            gi = settings.index(r.setting)
-            x = left + gi * group_w + 0.1 * group_w + si * bar_w
-            y = _scale(r.mean, 0.0, y_hi, bottom, top)
-            bars.append(
-                f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar_w:.1f}" '
-                f'height="{bottom - y:.1f}" fill="{color}"/>'
-            )
-            if r.std > 0:
-                y1 = _scale(r.mean - r.std, 0.0, y_hi, bottom, top)
-                y2 = _scale(r.mean + r.std, 0.0, y_hi, bottom, top)
-                cx = x + bar_w / 2
-                bars.append(
-                    f'<line x1="{cx:.1f}" y1="{y1:.1f}" x2="{cx:.1f}" y2="{y2:.1f}" '
-                    f'stroke="black" stroke-width="1"/>'
-                )
-        parts.append(f'<g id="{escape(sname, {chr(34): "&quot;"})}">' + "".join(bars) + "</g>")
-        ly = top + 14 + 14 * si
-        parts.append(
-            f'<rect x="{right - 150}" y="{ly - 9}" width="12" height="9" fill="{color}"/>'
-        )
-        parts.append(f'<text x="{right - 133}" y="{ly}" font-size="11">{escape(sname)}</text>')
-    for gi, setting in enumerate(settings):
-        px = left + (gi + 0.5) * group_w
-        parts.append(
-            f'<text x="{px:.1f}" y="{bottom + 17}" text-anchor="middle" font-size="11">'
-            f"{escape(str(setting))}</text>"
-        )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        parts += _legend_entry(i, name, color, bar=False)
+    return parts

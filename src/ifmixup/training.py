@@ -516,23 +516,40 @@ def metrics_to_csv(log: MetricsLog, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_acc"])
         for epoch, (loss, acc) in enumerate(zip(log.train_loss, log.val_acc)):
-            writer.writerow([epoch, repr(loss), repr(acc)])
+            writer.writerow([epoch, repr(float(loss)), repr(float(acc))])
 
 
 def load_metrics_csv(path: str) -> MetricsLog:
+    """The log of a metrics_to_csv file. Raises ValueError, starting with the
+    path, on missing columns, on no epoch rows, and naming the line and column
+    of a value that is missing, not a number or not finite."""
     log = MetricsLog()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {
-            "epoch",
-            "train_loss",
-            "val_acc",
-        } <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns epoch, train_loss, val_acc")
-        for row in reader:
-            log.train_loss.append(float(row["train_loss"]))
-            log.val_acc.append(float(row["val_acc"]))
+        try:
+            if not {"epoch", "train_loss", "val_acc"} <= set(reader.fieldnames or ()):
+                raise ValueError(f"{path}: expected columns epoch, train_loss, val_acc")
+            for row in reader:
+                for key, values in (("train_loss", log.train_loss), ("val_acc", log.val_acc)):
+                    values.append(_finite_cell(row[key], f"{path} line {reader.line_num}: {key}"))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not log.train_loss:
+        raise ValueError(f"{path}: no epoch rows")
     return log
+
+
+def _finite_cell(cell: str | None, where: str) -> float:
+    """``cell`` as a finite float; ``where`` names it in the ValueError otherwise."""
+    if cell is None:
+        raise ValueError(f"{where} is missing")
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"{where} is not a number: {cell!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"{where} is not finite: {cell!r}")
+    return value
 
 
 def summary_to_json(log: MetricsLog, cfg: TrainConfig, path: str) -> None:

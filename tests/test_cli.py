@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ifmixup as m
 import ifmixup.cli
@@ -174,6 +181,8 @@ class TestMixRecover:
             lambda meta: meta.update(lam=1.5),
             lambda meta: meta.update(lam="0.3"),
             lambda meta: meta.pop("lam"),
+            lambda meta: meta.update(version=2),
+            lambda meta: meta.pop("version"),
         ],
         ids=[
             "index-out-of-range",
@@ -184,6 +193,8 @@ class TestMixRecover:
             "lam-out-of-range",
             "lam-string",
             "no-lam",
+            "version-2",
+            "no-version",
         ],
     )
     def test_recover_rejects_bad_sidecar(self, dataset_dir, tmp_path, capsys, edit):
@@ -451,6 +462,79 @@ class TestPlot:
         path.write_text("a,b\n1,2\n")
         assert run_command(["plot", str(path), "--out", str(tmp_path / "x")]) == 1
         assert "expected columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,0.5\n", "line 2: val_acc is missing"),
+            ("0,abc,0.5\n", "line 2: train_loss is not a number: 'abc'"),
+            ("0,nan,0.5\n1,inf,0.6\n", "line 2: train_loss is not finite: 'nan'"),
+        ],
+        ids=["short-row", "not-a-number", "not-finite"],
+    )
+    def test_malformed_metrics_named(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "metrics.csv"
+        path.write_text("epoch,train_loss,val_acc\n" + rows)
+        out = tmp_path / "x"
+        assert run_command(["plot", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path} {message}\n"
+        assert not os.path.exists(f"{out}.svg")
+
+    @pytest.mark.parametrize("params", [(0.5, 0.5), (0.5, 2.0)], ids=["U-shaped", "J-shaped"])
+    def test_infinite_density_left_out_of_the_chart(self, tmp_path, params):
+        out = str(tmp_path / "beta")
+        csv_path, svg_path = m.emit_plot_data("beta_density", [m.BetaParams(*params)], out)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == ["0.0", "inf"]  # the CSV keeps the true density
+        assert_finite_svg(svg_path, paths=1)
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf", re.IGNORECASE)
+
+
+def assert_finite_svg(path: str, paths: int | None = None) -> None:
+    """The SVG parses as XML, every number in its attributes is finite and,
+    when given, it holds ``paths`` <path> elements."""
+    root = ET.parse(path).getroot()
+    for element in root.iter():
+        for value in element.attrib.values():
+            for token in NUMBER.findall(value):
+                assert math.isfinite(float(token)), (element.tag, value)
+    if paths is not None:
+        assert len(root.findall(f"{SVG_NS}path")) == paths
+
+
+FINITE = st.floats(-1e6, 1e6).map(repr)
+CELL = st.one_of(
+    FINITE,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # long and tiny numbers
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "NaN", "1e999", "-0.0"]),  # blank, non-finite
+    st.text("abc,\"x;.-e \t", max_size=6),  # junk, quotes and separators included
+    st.text("0123456789", min_size=40, max_size=80),  # long digit runs
+)
+WELL_FORMED_ROW = st.tuples(st.integers(0, 9).map(str), FINITE, FINITE).map(",".join)
+ROW = WELL_FORMED_ROW | st.lists(CELL, max_size=5).map(",".join)
+
+
+@settings(max_examples=150)
+@given(rows=st.lists(ROW, max_size=6), newline=st.sampled_from(["\n", "\r\n"]))
+def test_plot_draws_or_names_the_file(rows, newline):
+    """`ifmixup plot` on any metrics text either writes a finite SVG or exits 1
+    with one error line that names the file; no exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "metrics.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(newline.join(["epoch,train_loss,val_acc", *rows]))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_command(["plot", path, "--out", os.path.join(tmp, "x")])
+        if code == 0:
+            assert_finite_svg(os.path.join(tmp, "x.svg"), paths=2)
+        else:
+            assert code == 1
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1 and path in errors[0], err.getvalue()
 
 
 def assert_top_level_help(argv: list[str], env: dict[str, str] | None = None) -> None:

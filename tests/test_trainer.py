@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -846,6 +848,26 @@ class TestSerialization:
         assert back.val_acc == log.val_acc
         header = Path(path).read_text().splitlines()[0]
         assert header == "epoch,train_loss,val_acc"
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2).map(
+                lambda pair: pair if pair[0] > 0 else tuple(map(np.float64, pair))
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_metrics_csv_round_trip_bit_for_bit(self, epochs):
+        """Finite values, Python or numpy floats, read back with every bit."""
+        log = m.MetricsLog(train_loss=[a for a, _ in epochs], val_acc=[b for _, b in epochs])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "metrics.csv")
+            m.metrics_to_csv(log, path)
+            back = m.load_metrics_csv(path)
+        assert [float(v).hex() for v in log.train_loss] == [v.hex() for v in back.train_loss]
+        assert [float(v).hex() for v in log.val_acc] == [v.hex() for v in back.val_acc]
 
     def test_load_rejects_wrong_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
