@@ -21,9 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-# Singular-value floor of every rank decision (``_numerical_rank``) and the
-# tolerance of basis reconstruction. Benchmark feature sets are one-hot
-# dominated, so double precision is effectively exact at this threshold.
+# The floor on singular values in every rank decision, all read off the one
+# ``lstsq`` in ``_solve_rows``, and the tolerance of basis reconstruction.
+# Benchmark feature sets are one-hot dominated, so double precision is
+# effectively exact at this threshold.
 RANK_TOL = 1e-9
 
 LABEL_SUM_TOL = 1e-9
@@ -243,15 +244,15 @@ def _pad_rows(t: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _numerical_rank(singular: np.ndarray) -> int:
-    """The number of singular values above RANK_TOL: the package's one rank test."""
-    return int(np.count_nonzero(singular > RANK_TOL))
-
-
-def _rank_of_rows(m: np.ndarray) -> int:
-    """Rank of the rows of ``m`` by the decoders' own solver (``lstsq`` on
-    ``m.T``), so that a verdict here and a decode agree even at RANK_TOL."""
-    return _numerical_rank(np.linalg.lstsq(m.T, np.zeros((m.shape[1], 0)), rcond=None)[3])
+def _solve_rows(rows: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
+    """The coefficients C with C @ rows ~= target, by least squares, and the
+    rank of ``rows``: the one solver of every rank verdict, the vocabulary
+    and the decoders. One ``lstsq`` on ``rows.T`` itself, not on
+    ``rows @ rows.T``, gives both; the rank is the count of its singular
+    values above RANK_TOL, at most one per column. -0.0 coefficients come
+    back as 0.0."""
+    x, _, _, singular = np.linalg.lstsq(rows.T, target.T, rcond=None)
+    return x.T + 0.0, int(np.count_nonzero(singular > RANK_TOL))
 
 
 def check_linear_independence(rows: np.ndarray | list[np.ndarray]) -> tuple[bool, int]:
@@ -259,7 +260,7 @@ def check_linear_independence(rows: np.ndarray | list[np.ndarray]) -> tuple[bool
     m = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if m.size == 0:
         raise ValueError("empty vector set")
-    rank = _rank_of_rows(m)
+    _, rank = _solve_rows(m, m[:0])
     return rank == m.shape[0], rank
 
 
@@ -269,16 +270,15 @@ def independent_row_subset(rows: np.ndarray) -> list[int]:
     rows = np.asarray(rows, dtype=np.float64)
     kept: list[int] = []
     for i in range(len(rows)):
-        if _rank_of_rows(rows[kept + [i]]) > len(kept):
+        if _solve_rows(rows[kept + [i]], rows[:0])[1] > len(kept):
             kept.append(i)
     return kept
 
 
 def coefficients_in_basis(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients T with v ~= T @ basis (exact when rows of basis
-    are independent and v lies in their span)."""
-    gram = basis @ basis.T
-    return np.linalg.solve(gram, basis @ v.T).T
+    """Least-squares coefficients T with v ~= T @ basis, by ``_solve_rows``
+    (exact when rows of basis are independent and v lies in their span)."""
+    return _solve_rows(basis, v)[0]
 
 
 # Rows per block of feature_vocabulary's dedup pass: small enough that a
@@ -374,13 +374,15 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     ``_distinct_rows``). The zero row is excluded from V and appended to
     V*. The basis is the greedy maximal independent subset of V in
     lexicographic row order, so the result is deterministic for a given
-    dataset. The coefficients are solved once for the distinct rows and
+    dataset; its rank is V's by the rank test. The coefficients are solved
+    once for the distinct rows, by the solver that decides the rank, and
     checked against them; the per-graph ``coeffs`` and the deduplicated
     ``t_set`` are gathered from that solve on their first read, not here.
     Raises ValueError naming the graph when its feature width is not the
     dataset's, naming the graph and the entry when a node feature is not
-    finite, and naming the basis rank when the basis passes the rank test
-    but its Gram matrix is singular in floating point.
+    finite, naming both ranks when the basis has fewer rows than V's rank,
+    and naming the residual when the basis does not reconstruct the rows
+    within RANK_TOL.
     """
     if not ds.items:
         raise ValueError("empty dataset")
@@ -404,38 +406,36 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     vocabulary = distinct[np.any(distinct != 0.0, axis=1)]
     vocabulary_star = np.concatenate([vocabulary, np.zeros((1, ds.feature_dim))], axis=0)
 
-    basis_idx = independent_row_subset(vocabulary)
-    basis = vocabulary[basis_idx]
-    rank = len(basis_idx)
+    basis = vocabulary[independent_row_subset(vocabulary)]
+    rank = _solve_rows(vocabulary, vocabulary[:0])[1]
+    if len(basis) != rank:  # near RANK_TOL, rows each near the span of those kept
+        raise ValueError(f"feature vocabulary of rank {rank} has a greedy basis of rank {len(basis)}")
 
-    try:
-        t_distinct = coefficients_in_basis(distinct, basis)
-    except np.linalg.LinAlgError as exc:  # independent within RANK_TOL, singular Gram matrix
-        raise ValueError(f"feature basis of rank {rank} has a singular Gram matrix: {exc}") from exc
+    t_distinct = coefficients_in_basis(distinct, basis)
     recon = np.max(np.abs(t_distinct @ basis - distinct), initial=0.0)
     if recon > RANK_TOL:
         raise ValueError(f"basis reconstruction residual {recon:.3e} exceeds {RANK_TOL}")
-    return _SolvedFeatureBasis(vocabulary, vocabulary_star, rank, basis, t_distinct, inverse, ends)
+    return _SolvedFeatureBasis(vocabulary, vocabulary_star, rank, basis, solve=(t_distinct, inverse, ends))
 
 
 class _SolvedFeatureBasis(FeatureBasis):
     """The FeatureBasis ``feature_vocabulary`` returns: ``coeffs`` and
-    ``t_set`` are built on first read from the distinct rows' coefficients
-    ``t_distinct`` and each node's index into them, ``inverse``, with
-    ``ends`` the cumulative node counts of the graphs.
+    ``t_set`` are built on first read from the ``solve``: the distinct
+    rows' coefficients ``t_distinct``, each node's index into them,
+    ``inverse``, and ``ends``, the cumulative node counts of the graphs.
+    ``dataclasses.replace`` passes the six fields, as read; they are kept.
 
     Independent-mode decoding reads neither, and ``coeffs`` holds a
     coefficient row per node, the largest array of the basis.
     """
 
-    def __init__(self, vocabulary, vocabulary_star, rank, basis, t_distinct, inverse, ends):
-        self.vocabulary = vocabulary
-        self.vocabulary_star = vocabulary_star
-        self.rank = rank
-        self.basis = basis
-        self._t_distinct = t_distinct
-        self._inverse = inverse
-        self._ends = ends
+    def __init__(self, vocabulary, vocabulary_star, rank, basis, coeffs=None, t_set=None, *, solve=()):
+        self.vocabulary, self.vocabulary_star = vocabulary, vocabulary_star
+        self.rank, self.basis = rank, basis
+        if solve:
+            self._t_distinct, self._inverse, self._ends = solve
+        else:
+            self.coeffs, self.t_set = coeffs, t_set
 
     def _spans(self) -> list[tuple[int, int]]:
         ends = self._ends.tolist()

@@ -20,9 +20,9 @@ has exactly two solutions, mirror images under (s, e, e') -> (1-s, e', e):
   independent. The mixed coefficient matrix, projected onto B, has a unique
   coefficient vector over the members that fit its size.
 
-Each solve is one least-squares call on the rows themselves whose singular
-values also prove the rows independent, by the same singular-value rank test
-as ``check_linear_independence``. ``recovery_mode`` says which mode a dataset
+Each solve is one call of ``graphs._solve_rows``, the package's one solver,
+whose singular values also prove the rows independent, as they do in
+``check_linear_independence``. ``recovery_mode`` says which mode a dataset
 admits, if either. The coefficients give the ratio when the edges leave it open.
 
 A dummy node is a trailing node whose features, edge row and edge column are
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FeatureBasis, GraphDataset, NodeFeaturedGraph, _numerical_rank, _pad_rows
+from .graphs import FeatureBasis, GraphDataset, NodeFeaturedGraph, _pad_rows, _solve_rows
 from .graphs import _symmetry_violations
 from .mixing import MAX_REDRAWS, BetaParams, mix_labels, mix_pair, sample_lambda
 
@@ -252,17 +252,16 @@ def _unique_coefficients(
 ) -> np.ndarray:
     """The coefficients C with C @ rows = target, proven unique by the same solve.
 
-    One least-squares solve on ``rows`` itself (not on its Gram matrix,
-    which squares the condition number). The rows are independent exactly
-    when their numerical rank equals their count; lstsq returns at most one
-    singular value per column, so more rows than columns always fall short,
-    and an empty set is independent. Raises RecoveryError naming ``what``
-    when they are not, and ``misfit`` when target leaves their span.
+    One ``graphs._solve_rows`` call, the solver of every rank verdict, gives
+    the coefficients and the rank of ``rows``. The rows are independent
+    exactly when that rank equals their count, so more rows than columns
+    always fall short, and an empty set is independent. Raises
+    RecoveryError naming ``what`` when they are not, and ``misfit`` when
+    target leaves their span.
     """
-    x, _, _, singular = np.linalg.lstsq(rows.T, target.T, rcond=None)
-    if _numerical_rank(singular) < rows.shape[0]:
+    coeff, rank = _solve_rows(rows, target)
+    if rank < rows.shape[0]:
         raise RecoveryError(f"{what} is not linearly independent")
-    coeff = x.T
     residual = np.max(np.abs(coeff @ rows - target), initial=0.0)
     if residual > DEFAULT_TOL:
         raise RecoveryError(f"{misfit}: residual {residual:.3e}")

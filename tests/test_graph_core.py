@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 
 import ifmixup as m
 import ifmixup.graphs
+from ifmixup.recovery import recovery_mode
 
 from conftest import graphs_equal, rand_one_hot_graph
 
@@ -336,13 +338,53 @@ class TestFeatureVocabulary:
         g = m.NodeFeaturedGraph(np.array(rows), np.zeros((n, n)))
         return m.GraphDataset([(g, m.LabelDistribution.one_hot(0, 1))], 1, 2, "NEAR")
 
-    def test_singular_gram_matrix_named(self):
-        # independent within RANK_TOL (smallest singular value 1.4e-9), but
-        # the Gram matrix [[1, 1], [1, 1 + 4e-18]] rounds to singular
-        ds = self._one_graph_set([[1.0, 0.0], [1.0, 2e-9]])
-        with pytest.raises(ValueError, match=r"feature basis of rank 2 has a singular Gram matrix") as exc:
-            m.feature_vocabulary(ds)
-        assert not isinstance(exc.value, np.linalg.LinAlgError)
+    @pytest.mark.parametrize(
+        "rows, graphs, mode",
+        [
+            (
+                [[1.0, 0.0], [1.0, 1e-8]],
+                [([0, 1], [(0, 1)]), ([1, 0], []), ([1], []), ([0], []), ([0, 0, 1], [(0, 1), (1, 2)])],
+                "independent",
+            ),
+            (
+                [[1.0, 0.0], [1.0, 1e-7], [2.0, 1e-7]],
+                [([0, 1, 2], [(0, 1)]), ([2, 0], [(0, 1)]), ([1], [])],
+                "basis",
+            ),
+        ],
+        ids=["independent", "dependent"],
+    )
+    def test_near_singular_sets_build_and_audit(self, rows, graphs, mode):
+        """Sets near RANK_TOL that the rank test accepts build, and their
+        mixes decode: the vocabulary is solved by the rank test's own solver.
+        A Gram-matrix solve refused both, the first as singular, the second
+        with a reconstruction residual of 2.2e-9."""
+        rows = np.array(rows)
+        items = []
+        for k, (nodes, edges) in enumerate(graphs):
+            e = np.zeros((len(nodes), len(nodes)))
+            for i, j in edges:
+                e[i, j] = e[j, i] = 1.0
+            items.append((m.NodeFeaturedGraph(rows[nodes], e), m.LabelDistribution.one_hot(k % 2, 2)))
+        ds = m.GraphDataset(items, 2, 2, "NEAR")
+        fb = m.feature_vocabulary(ds)
+        assert fb.rank == 2 and recovery_mode(fb) == mode
+        assert fb.vocabulary_independent() == m.check_linear_independence(rows)[0]
+        for seed in range(3):
+            report = m.intrusion_audit(ds, 50, m.BetaParams(2, 2), np.random.default_rng(seed))
+            assert report.mode == mode and report.ok(), report.first_failure
+
+    def test_replace_keeps_the_other_fields(self):
+        """``dataclasses.replace`` on a solved basis swaps the one field and
+        keeps every other as read, ``coeffs`` included."""
+        ds = vocabulary_set(3, negative_zeros=False, exact=True)
+        fb = m.feature_vocabulary(ds)
+        assert "coeffs" not in vars(fb) and "t_set" not in vars(fb)  # still built on first read
+        new = dataclasses.replace(fb, t_set=[])
+        assert new.t_set == [] and fb.t_set != []
+        assert new.rank == fb.rank and new.coeffs is fb.coeffs
+        for name in ("vocabulary", "vocabulary_star", "basis"):
+            assert getattr(new, name) is getattr(fb, name)
 
     def test_near_singular_vocabulary_named(self):
         # rank 1 by singular values, so [1, 1.2e-9] is left off the basis
@@ -415,10 +457,11 @@ def reference_vocabulary(ds: m.GraphDataset):
         i, g = next((i, g) for i, g in enumerate(graphs) if not np.isfinite(g.v).all())
         at = tuple(int(k) for k in np.argwhere(~np.isfinite(g.v))[0])
         raise ValueError(f"graph {i}: non-finite node feature at {at}: {g.v[at]}")
-    distinct = np.unique(all_rows, axis=0)
+    # rows as the package stores them, -0.0 as 0.0 (``same_bits`` checks the sign)
+    distinct = np.unique(all_rows + 0.0, axis=0)
     vocabulary = distinct[np.any(distinct != 0.0, axis=1)]
     basis = vocabulary[m.independent_row_subset(vocabulary)]
-    coeffs = [m.coefficients_in_basis(g.v, basis) for g in graphs]
+    coeffs = [m.coefficients_in_basis(g.v + 0.0, basis) for g in graphs]
     t_set, seen = [], set()
     for t in coeffs:
         key = t.shape[0].to_bytes(4, "little") + t.tobytes()
@@ -565,10 +608,10 @@ class TestTSetIndependent:
         fb = m.feature_vocabulary(m.GraphDataset(items, 1, 2, "WIDE"))
         assert len(fb.t_set) == 3 and fb.rank == 1
 
-        def forbidden(singular):
+        def forbidden(rows, target):
             raise AssertionError("rank computed")
 
-        monkeypatch.setattr(m.graphs, "_numerical_rank", forbidden)
+        monkeypatch.setattr(m.graphs, "_solve_rows", forbidden)
         assert fb.t_set_independent() is False
 
     def test_agrees_with_check_linear_independence(self):

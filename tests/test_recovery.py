@@ -213,6 +213,62 @@ class TestRecoverFeaturesIndependent:
             decodes = "not linearly independent" not in str(exc)
         assert m.check_linear_independence(v)[0] == decodes
 
+    @settings(max_examples=150)
+    @given(
+        k=st.integers(1, 4),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        at_tol=st.booleans(),
+        sum_row=st.booleans(),
+    )
+    def test_vocabulary_builds_what_the_rank_test_accepts(self, k, extra, seed, at_tol, sum_row):
+        """feature_vocabulary solves with the rank test's own solver. On
+        rows whose smallest singular value straddles RANK_TOL (one row is
+        then that short itself), plus, with ``sum_row``, the sum of the
+        first and last row (a dependent set like [1, 0], [1, 1e-7],
+        [2, 1e-7]), one single-node graph per row, and the verdict on the
+        rows in V's own order (on the tolerance itself, the order can tip
+        the last bit of a singular value):
+
+        * an independent set builds with every row in its basis, and its
+          audit finds no collision;
+        * a dependent set builds with the rank test's rank, or is refused
+          by name when its greedy basis falls short of that rank or a row
+          lies off the basis by more than RANK_TOL.
+        """
+        rng = np.random.default_rng(seed)
+        v = near_singular_vocabulary(k, k + extra, rng, at_tol)
+        if sum_row:
+            v = np.vstack([v, v[0] + v[-1]])
+        v = v[np.lexsort(v.T[::-1])]
+        ok, rank = m.check_linear_independence(v)
+        graphs = [m.NodeFeaturedGraph(row[None], np.zeros((1, 1))) for row in v]
+        items = [(g, m.LabelDistribution.one_hot(i, len(v))) for i, g in enumerate(graphs)]
+        ds = m.GraphDataset(items, len(v), v.shape[1], "NEAR")
+        try:
+            fb = m.feature_vocabulary(ds)
+        except ValueError as exc:
+            assert not ok and re.match(r"feature vocabulary of rank|basis reconstruction residual", str(exc))
+            return
+        assert fb.rank == rank and fb.vocabulary_independent() == ok
+        if ok:
+            report = m.intrusion_audit(ds, 50, m.BetaParams(2, 2), rng)
+            assert report.mode == "independent" and report.collisions == 0, report.first_failure
+
+    def test_greedy_basis_short_of_the_rank_named(self):
+        # the three rows have rank 2 (second singular value 1.09e-9), but no
+        # two of them with the first pass the rank test (6.8e-10, 7.0e-10),
+        # so the greedy basis keeps one row, and every row lies within
+        # 6.1e-10 of it, inside the residual check
+        v = near_singular_vocabulary(2, 4, np.random.default_rng(2), False)
+        v = np.vstack([v, v[0] + v[-1]])
+        v = v[np.lexsort(v.T[::-1])]
+        assert m.check_linear_independence(v) == (False, 2)
+        assert m.independent_row_subset(v) == [0]
+        ds = m.GraphDataset([(m.NodeFeaturedGraph(v, np.zeros((3, 3))), m.LabelDistribution.one_hot(0, 1))], 1, 4)
+        with pytest.raises(ValueError, match=r"^feature vocabulary of rank 2 has a greedy basis of rank 1$"):
+            m.feature_vocabulary(ds)
+
 
 def near_singular_vocabulary(
     k: int, d: int, rng: np.random.Generator, at_tol: bool
