@@ -188,13 +188,6 @@ def _cmd_recover(args) -> int:
         raise ParseError(f"{args.mixed_dir}: invalid mixed graph: {problems[0]}")
 
     ds = _dataset_from_config(meta, meta_path)
-    basis = feature_vocabulary(ds)
-    mode = recovery_mode(basis)
-    if mode is None:
-        raise RecoveryError(
-            f"{ds.name}: neither the feature vocabulary nor the coefficient collection "
-            "is linearly independent, so the mix cannot be decoded"
-        )
     indices = meta.get("source_indices")
     if not (isinstance(indices, list) and len(indices) == 2) or not all(
         type(i) is int and 0 <= i < len(ds) for i in indices
@@ -202,6 +195,13 @@ def _cmd_recover(args) -> int:
         raise ParseError(
             f"{meta_path}: 'source_indices' must be two graph indices in 0..{len(ds) - 1}, "
             f"got {indices!r}"
+        )
+    basis = feature_vocabulary(ds)
+    mode = recovery_mode(basis)
+    if mode is None:
+        raise RecoveryError(
+            f"{ds.name}: neither the feature vocabulary nor the coefficient collection "
+            "is linearly independent, so the mix cannot be decoded"
         )
     rec = recover_pair(mixed, basis, mode=mode)
 

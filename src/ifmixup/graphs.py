@@ -128,6 +128,8 @@ class FeatureBasis:
 
     On a basis from ``feature_vocabulary``, ``coeffs`` and ``t_set`` are
     built on their first read and then kept; either can still be assigned.
+    Replace ``t_set`` by assignment, which drops the per-size members
+    (``_members_at``): an in-place edit of the list is not seen by them.
     """
 
     vocabulary: np.ndarray
@@ -146,7 +148,7 @@ class FeatureBasis:
         return self.rank == len(self.vocabulary)
 
     def t_set_independent(self) -> bool:
-        """Independence of the coefficient collection, zero-padded to a common size.
+        """Independence of the coefficient collection, zero-padded to its largest member size.
 
         More members than padded columns are dependent by their count alone
         (rank is at most the column count), so no rank is computed then.
@@ -156,9 +158,30 @@ class FeatureBasis:
         n_max = max(t.shape[0] for t in self.t_set)
         if len(self.t_set) > n_max * self.rank:
             return False
-        flat = np.stack([_pad_rows(t, n_max).ravel() for t in self.t_set])
-        ok, _ = check_linear_independence(flat)
-        return ok
+        members, rank, _ = self._members_at(n_max)
+        return rank == len(members)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "t_set":  # the per-size members are read off the old one
+            self.__dict__.pop("_by_size", None)
+        object.__setattr__(self, name, value)
+
+    def _members_at(self, n: int) -> tuple[np.ndarray, int, np.ndarray] | None:
+        """The ``t_set`` members of at most n rows, padded to n and stacked
+        (|T_n| x n x rank), the rank of their flattened rows, and the
+        projector P (n*rank x |T_n|) with ``x @ P`` the coefficients of a
+        flattened x over them, or None when none fits; from one
+        ``_solve_rows`` call on the first read at n, then kept."""
+        by_size = self.__dict__.setdefault("_by_size", {})
+        if n not in by_size:
+            fit = [_pad_rows(t, n) for t in self.t_set if t.shape[0] <= n]
+            by_size[n] = None
+            if fit:
+                members = np.stack(fit)
+                flat = members.reshape(len(fit), -1)
+                projector, rank = _solve_rows(flat, np.eye(flat.shape[1]))
+                by_size[n] = (members, rank, projector)
+        return by_size[n]
 
 
 def _symmetry_violations(e: np.ndarray) -> list[str]:

@@ -22,8 +22,9 @@ has exactly two solutions, mirror images under (s, e, e') -> (1-s, e', e):
 
 Each solve is one call of ``graphs._solve_rows``, the package's one solver,
 whose singular values also prove the rows independent, as they do in
-``check_linear_independence``. ``recovery_mode`` says which mode a dataset
-admits, if either. The coefficients give the ratio when the edges leave it open.
+``check_linear_independence``; basis mode solves the members once per mix
+size, for a projector. ``recovery_mode`` says which mode a dataset admits,
+if either. The coefficients give the ratio when the edges leave it open.
 
 A dummy node is a trailing node whose features, edge row and edge column are
 exactly zero (-0.0 counts as zero). ``recover_pair`` strips them with
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FeatureBasis, GraphDataset, NodeFeaturedGraph, _pad_rows, _solve_rows
+from .graphs import FeatureBasis, GraphDataset, NodeFeaturedGraph, _solve_rows
 from .graphs import _symmetry_violations
 from .mixing import MAX_REDRAWS, BetaParams, mix_labels, mix_pair, sample_lambda
 
@@ -247,19 +248,19 @@ _OFF_SPAN = "mixed features leave SPAN(V)"
 _NO_PAIR = "no training coefficient pair reproduces the mixed features"
 
 
-def _unique_coefficients(
-    target: np.ndarray, rows: np.ndarray, what: str, misfit: str
-) -> np.ndarray:
-    """The coefficients C with C @ rows = target, proven unique by the same solve.
+def _unique_coefficients(target: np.ndarray, rows: np.ndarray, what: str, misfit: str) -> np.ndarray:
+    """``_proven_unique`` of one ``graphs._solve_rows`` call, the solver of every rank verdict."""
+    return _proven_unique(*_solve_rows(rows, target), target, rows, what, misfit)
 
-    One ``graphs._solve_rows`` call, the solver of every rank verdict, gives
-    the coefficients and the rank of ``rows``. The rows are independent
-    exactly when that rank equals their count, so more rows than columns
-    always fall short, and an empty set is independent. Raises
-    RecoveryError naming ``what`` when they are not, and ``misfit`` when
-    target leaves their span.
+
+def _proven_unique(coeff, rank: int, target: np.ndarray, rows: np.ndarray, what: str, misfit: str):
+    """The coefficients C with C @ rows = target, given with the rank of ``rows``, proven unique.
+
+    The rows are independent exactly when that rank equals their count, so
+    more rows than columns always fall short, and an empty set is
+    independent. Raises RecoveryError naming ``what`` when they are not, and
+    ``misfit`` when target leaves their span.
     """
-    coeff, rank = _solve_rows(rows, target)
     if rank < rows.shape[0]:
         raise RecoveryError(f"{what} is not linearly independent")
     residual = np.max(np.abs(coeff @ rows - target), initial=0.0)
@@ -269,12 +270,14 @@ def _unique_coefficients(
 
 
 def _feature_coefficients(v_mixed: np.ndarray, over: np.ndarray | FeatureBasis):
-    """The mixed features' unique coefficients, from one solve, and the reader
-    of the sources' features from their split: rows of V* (V plus the zero
-    row) over a vocabulary V, or T @ B for the pair (T, T') over a
+    """The mixed features' unique coefficients and the reader of the sources'
+    features from their split: rows of V* (V plus the zero row) over a
+    vocabulary V, by one solve, or T @ B for the pair (T, T') over a
     FeatureBasis's members that fit in the mix, the only ones that must be
-    independent for the row to be unique. Only the FeatureBasis form reads
-    ``t_set``; neither form reads ``coeffs``."""
+    independent for the row to be unique, by a solve onto B and the product
+    with those members' projector (``FeatureBasis._members_at``). Only the
+    FeatureBasis form reads ``t_set``, replaced by assignment, as the
+    projector does not see an in-place edit; neither form reads ``coeffs``."""
     v_mixed = np.atleast_2d(np.asarray(v_mixed, dtype=np.float64))
     _require_finite(v_mixed, "mixed node feature")
     if not isinstance(over, FeatureBasis):
@@ -282,14 +285,13 @@ def _feature_coefficients(v_mixed: np.ndarray, over: np.ndarray | FeatureBasis):
         coeff = _unique_coefficients(v_mixed, vocabulary, "feature vocabulary", _OFF_SPAN)
         vocabulary_star = np.concatenate([vocabulary, np.zeros((1, vocabulary.shape[1]))])
         return coeff, lambda ia, ib: (vocabulary_star[ia], vocabulary_star[ib])
-    t_mixed = _unique_coefficients(v_mixed, over.basis, "span basis", _OFF_SPAN)
-    n = v_mixed.shape[0]
-    members = [_pad_rows(t, n) for t in over.t_set if t.shape[0] <= n]
-    if not members:
+    t_mixed = _unique_coefficients(v_mixed, over.basis, "span basis", _OFF_SPAN).reshape(1, -1)
+    fit = over._members_at(v_mixed.shape[0])
+    if fit is None:
         raise RecoveryError(_NO_PAIR)
-    members = np.stack(members)
+    members, rank, projector = fit
     flat = members.reshape(len(members), -1)
-    coeff = _unique_coefficients(t_mixed.reshape(1, -1), flat, "coefficient collection", _NO_PAIR)
+    coeff = _proven_unique(t_mixed @ projector, rank, t_mixed, flat, "coefficient collection", _NO_PAIR)
 
     def sources(ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if ia[0] < 0 or ib[0] < 0:

@@ -135,20 +135,41 @@ class TestMixRecover:
         assert len(meta["source_indices"]) == 2
         assert abs(sum(meta["label"]) - 1.0) < 1e-9
 
-    def test_recover_names_violated_assumption(self, dataset_dir, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def dependent_mix(dataset_dir, tmp_path, monkeypatch, indices) -> str:
+        """A mix's directory whose sidecar names ``indices`` of DEP-T, a
+        two-graph set whose vocabulary and coefficient collection are both dependent."""
         out = str(tmp_path / "mixed")
         os.makedirs(out)
         assert run_command(["mix", dataset_dir, "SYN", "--seed", "4", "--out", out]) == 0
-        # a source set whose vocabulary and coefficient collection are both dependent
+        meta_path = os.path.join(out, "MIXED_meta.json")
+        meta = json.loads(Path(meta_path).read_text())
+        Path(meta_path).write_text(json.dumps({**meta, "source_indices": indices}))
         graphs = [m.NodeFeaturedGraph(np.array([[x, 0.0]]), np.zeros((1, 1))) for x in (1.0, 2.0)]
         items = [(g, m.LabelDistribution.one_hot(c, 2)) for c, g in enumerate(graphs)]
         dependent = m.GraphDataset(items, 2, 2, "DEP-T")
         monkeypatch.setattr(ifmixup.cli, "load_dataset", lambda *args: dependent)
+        return out
+
+    def test_recover_names_violated_assumption(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        out = self.dependent_mix(dataset_dir, tmp_path, monkeypatch, [0, 1])
         capsys.readouterr()
         assert run_command(["recover", out]) == 1
         captured = capsys.readouterr()
         assert "recovery mode" not in captured.out
         assert "DEP-T: neither the feature vocabulary nor the coefficient" in captured.err
+
+    def test_recover_checks_sidecar_indices_before_the_assumption(
+        self, dataset_dir, tmp_path, monkeypatch, capsys
+    ):
+        # the sidecar's fault is named even where the dataset cannot decode either
+        out = self.dependent_mix(dataset_dir, tmp_path, monkeypatch, [0, 99])
+        monkeypatch.setattr(ifmixup.cli, "feature_vocabulary", pytest.fail)
+        capsys.readouterr()
+        assert run_command(["recover", out]) == 1
+        err = capsys.readouterr().err
+        assert "'source_indices' must be two graph indices in 0..1, got [0, 99]" in err
+        assert "neither the feature vocabulary" not in err
 
     def test_recover_needs_sidecar(self, tmp_path, capsys):
         assert run_command(["recover", str(tmp_path)]) == 1

@@ -139,6 +139,29 @@ def test_runtime_imports_are_numpy_and_stdlib():
     assert foreign == []
 
 
+def test_linalg_is_named_once_in_the_solver():
+    """Every solve and rank verdict goes through graphs._solve_rows: the
+    package source names numpy's linalg there and nowhere else."""
+    source = os.path.dirname(m.__file__)
+    found = []
+
+    def visit(node, filename, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "linalg":
+                found.append((filename, scope))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [getattr(child, "module", None) or ""] + [a.name for a in child.names]
+                found.extend((filename, scope) for n in names if "linalg" in n)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, filename, child.name if named else scope)
+
+    for filename in sorted(os.listdir(source)):
+        if filename.endswith(".py"):
+            with open(os.path.join(source, filename), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read(), filename), filename, None)
+    assert found == [("graphs.py", "_solve_rows")]
+
+
 CONFIGS = (m.ModelConfig, m.AugmentSpec, m.BetaParams, m.TrainConfig, ifmixup.cli._DatasetBlock)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
 import sys
@@ -344,6 +345,37 @@ class TestRecoverFeaturesBasis:
         with pytest.raises(RecoveryError, match="independent"):
             m.recover_features_basis(np.array([[0.7, 0.7, 0.3]]), 0.7, fb)
 
+    def test_members_solved_once_per_size(self, monkeypatch):
+        # recovery binds its own _solve_rows name, so only the members'
+        # projector is counted here, not the projection onto the basis
+        fb = hand_basis()
+        solves, solve = [], m.graphs._solve_rows
+        monkeypatch.setattr(m.graphs, "_solve_rows", lambda rows, t: solves.append(rows.shape) or solve(rows, t))
+        one_row, two_rows = np.array([[0.7, 0.7, 0.3]]), np.array([[0.7, 0.7, 0.3], [0.0, 0.0, 0.0]])
+        for v_mixed in (one_row, one_row, two_rows, two_rows):
+            v, vp = m.recover_features_basis(v_mixed, 0.7, fb)
+            assert np.array_equal(v[0], [1, 1, 0]) and np.array_equal(vp[0], [0, 0, 1])
+        assert solves == [(2, 2), (2, 4)]  # two members flattened at n = 1, then at n = 2
+
+    def test_assigned_t_set_drops_decoded_members(self):
+        fb = hand_basis()
+        v_mixed = np.array([[0.7, 0.7, 0.3]])
+        m.recover_features_basis(v_mixed, 0.7, fb)
+        fb.t_set = [np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])]
+        with pytest.raises(RecoveryError, match="independent"):
+            m.recover_features_basis(v_mixed, 0.7, fb)
+        assert not fb.t_set_independent()
+
+    def test_replaced_basis_solves_its_own_members(self):
+        fb = hand_basis()
+        v_mixed = np.array([[0.7, 0.7, 0.3]])
+        m.recover_features_basis(v_mixed, 0.7, fb)
+        dependent = dataclasses.replace(fb, t_set=[np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]])])
+        with pytest.raises(RecoveryError, match="independent"):
+            m.recover_features_basis(v_mixed, 0.7, dependent)
+        v, vp = m.recover_features_basis(v_mixed, 0.7, fb)  # the original keeps its own
+        assert np.array_equal(v, [[1, 1, 0]]) and np.array_equal(vp, [[0, 0, 1]])
+
     def test_only_members_that_fit_must_be_independent(self):
         # padded to two rows the third member equals the first, so the whole
         # collection is dependent; at one row only the first two fit
@@ -452,8 +484,35 @@ def random_basis_instance(rng: np.random.Generator) -> m.FeatureBasis:
             return fb
 
 
+def reference_basis_decode(v_mixed, s, fb):
+    """The basis-mode decode as one solve per call: every member that fits,
+    padded and stacked, solved for the mixed coefficients. Returns the split
+    (ia, ib) and the two sources' features; the reference for the decoder's
+    per-size projector."""
+    t_mixed = m.coefficients_in_basis(v_mixed, fb.basis)
+    n = v_mixed.shape[0]
+    members = np.stack([pad_to(t, n) for t in fb.t_set if t.shape[0] <= n])
+    coeff, _ = m.graphs._solve_rows(members.reshape(len(members), -1), t_mixed.reshape(1, -1))
+    ia, ib = ifmixup.recovery._split_coefficients(coeff, s)
+    return (ia[0], ib[0]), members[ia[0]] @ fb.basis, members[ib[0]] @ fb.basis
+
+
 class TestBasisModeAgainstSearch:
     RATIOS = (0.13, 0.3, 0.62, 0.85)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_decoder_matches_per_call_solve(self, seed):
+        fb = random_basis_instance(np.random.default_rng(seed))
+        for ta, tb in itertools.product(fb.t_set, repeat=2):
+            n = max(ta.shape[0], tb.shape[0])
+            for s in self.RATIOS:
+                v_mixed = (s * pad_to(ta, n) + (1.0 - s) * pad_to(tb, n)) @ fb.basis
+                pair, va, vb = reference_basis_decode(v_mixed, s, fb)
+                coeff, _ = ifmixup.recovery._feature_coefficients(v_mixed, fb)
+                ia, ib = ifmixup.recovery._split_coefficients(coeff, s)
+                assert (ia[0], ib[0]) == pair
+                got_a, got_b = m.recover_features_basis(v_mixed, s, fb)
+                assert got_a.tobytes() == va.tobytes() and got_b.tobytes() == vb.tobytes()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_decoder_matches_search(self, seed):
@@ -561,10 +620,11 @@ class TestRecoverPair:
         assert rec.lam == pytest.approx(0.3, abs=1e-9)  # canonical mirror of 0.7
         assert graphs_equal(rec.graph_a, b) and graphs_equal(rec.graph_b, a)
 
-    @pytest.mark.parametrize("mode,solves", [("independent", 1), ("basis", 2)])
+    @pytest.mark.parametrize("mode,solves", [("independent", 1), ("basis", 1)])
     def test_binary_edge_mix_solves_features_once(self, monkeypatch, mode, solves):
         # binary mixed edges leave the ratio to the features: the one solve
-        # that reads it also gives the split (basis mode: projection, then T)
+        # that reads it also gives the split (basis mode: the projection onto
+        # B; the members' projector at this size was built by recovery_mode)
         e = sym({(0, 1): 1.0}, 3)
         v = np.eye(3) if mode == "independent" else np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         a, b = m.NodeFeaturedGraph(v, e), m.NodeFeaturedGraph(v[::-1].copy(), e)
