@@ -11,9 +11,10 @@ One rule builds every sample's head input: a 0/1 selector over the K layers
 (the manifold-mix layer, or what the readout keeps) masks the mix of the two
 sides' pooled rows at each layer.
 
-Each training step is one packed forward and backward over the whole batch
-(two forwards when it holds deferred pairs: all A sides, then all B sides),
-and evaluation packs the graphs in chunks of at most ``EVAL_ROWS`` node
+Each training step is one packed forward and backward over the whole batch.
+A batch that holds deferred pairs embeds each distinct graph object once,
+whichever sides it stands on, and each side reads its rows from that one
+forward. Evaluation packs the graphs in chunks of at most ``EVAL_ROWS`` node
 rows.
 
 Everything is deterministic given the config seed. Folds and runs use
@@ -256,8 +257,9 @@ def _mixed_rows(
     ``lam * pooled_a[l] + (1 - lam) * pooled_b[l]`` masked by selector column
     l. GIN concatenates the masked parts into their blocks, as
     ``embed_batch`` builds ``h_graph``; GCN sums them over the layers that
-    any sample selects. The pooled lists come from ``embed_batch``, row i
-    for sample i.
+    any sample selects. Row i of ``pooled_a[l]`` and ``pooled_b[l]`` is
+    the pooled layer l of sample i's A and B side (for a plain sample, its
+    graph on both).
     """
     lam = np.array([[1.0 if s.pair is None else float(s.lam)] for s in batch])
     select = np.zeros((len(batch), cfg.k))
@@ -280,19 +282,34 @@ def batch_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean loss over a heterogeneous batch and its exact gradients.
 
-    The batch runs on one tape: one packed forward over the samples' graphs
-    (the A sides of deferred pairs), plus one over the B sides when any
-    sample is a deferred pair (a plain sample in such a batch runs again as
-    its own B side). ``_mixed_rows`` then builds every sample's head input
-    by one rule, so each sample's loss is the one it has alone. The source
-    passes run without dropout; one dropout draw of shape (B x C) masks the
-    logits after the dense layer, row i for sample i, as B draws of (1 x C)
-    would. Only a deferred pair may carry a manifold-mix layer.
+    The batch runs on one tape with one packed forward. When any sample is
+    a deferred pair, that forward covers the distinct graph objects of all
+    plain samples, A sides and B sides, taken once each (by identity, in
+    first-seen order), and each side reads its pooled rows from it through
+    a constant 0/1 row selector; ``_mixed_rows`` then builds every sample's
+    head input by one rule, so each sample's loss is the one it has alone.
+    The source passes run without dropout; one dropout draw of shape
+    (B x C) masks the logits after the dense layer, row i for sample i, as
+    B draws of (1 x C) would.
+
+    Each sample holds exactly one of a graph and a pair, and a label over
+    the model's classes; a pair carries lam in [0, 1], and only a pair may
+    carry a manifold-mix layer. A sample that breaks this raises a
+    ValueError naming its index.
     """
     if not batch:
         raise ValueError("gradients need a nonempty batch")
     cfg = params.config
     for i, sample in enumerate(batch):
+        if (sample.g is None) == (sample.pair is None):
+            held = "neither" if sample.g is None else "both"
+            raise ValueError(f"sample {i} must hold exactly one of a graph and a pair, it holds {held}")
+        if sample.y.num_classes != params.num_classes:
+            raise ValueError(
+                f"sample {i}: label has {sample.y.num_classes} classes, the model {params.num_classes}"
+            )
+        if sample.pair is not None and (sample.lam is None or not 0.0 <= float(sample.lam) <= 1.0):
+            raise ValueError(f"sample {i}: a pair needs lam in [0, 1], got {sample.lam}")
         if sample.layer is None:
             continue
         if sample.pair is None:
@@ -300,12 +317,19 @@ def batch_gradients(
         if not 1 <= sample.layer <= cfg.k:
             raise ValueError(f"sample {i}: manifold-mix layer {sample.layer} outside 1..{cfg.k}")
     wrapped = wrap_params(params, requires_grad=True)
-    side_a = embed_batch([s.g if s.pair is None else s.pair[0] for s in batch], wrapped, params)
     if all(s.pair is None for s in batch):
-        h = side_a[2]
+        h = embed_batch([s.g for s in batch], wrapped, params)[2]
     else:
-        side_b = embed_batch([s.g if s.pair is None else s.pair[1] for s in batch], wrapped, params)
-        h = _mixed_rows(batch, side_a[1], side_b[1], cfg)
+        sides = [(s.g, s.g) if s.pair is None else s.pair for s in batch]
+        distinct = {id(g): g for pair in sides for g in pair}  # first-seen order
+        row = {key: i for i, key in enumerate(distinct)}
+        pooled = embed_batch(list(distinct.values()), wrapped, params)[1]
+        select = np.zeros((2, len(batch), len(distinct)))
+        for i, pair in enumerate(sides):
+            for side, g in enumerate(pair):
+                select[side, i, row[id(g)]] = 1.0
+        pooled_a, pooled_b = ([constant(sel) @ p for p in pooled] for sel in select)
+        h = _mixed_rows(batch, pooled_a, pooled_b, cfg)
     logits = apply_dropout(head_logits(h, wrapped), cfg.dropout, training=True, rng=rng)
     loss = cross_entropy_t([s.y for s in batch], logits).scale(1.0 / len(batch))
     loss.backward()
@@ -382,12 +406,14 @@ def train_single(
     """Train on one split; logs mean train loss and val accuracy per epoch."""
     if not train_items or not val_items:
         raise ValueError("train and validation splits must be nonempty")
-    for split, items in (("train", train_items), ("validation", val_items)):
-        for i, (g, _) in enumerate(items):
-            if not (np.isfinite(g.v).all() and np.isfinite(g.e).all()):
-                raise ValueError(f"{split} item {i} has non-finite features or edge weights")
     d = train_items[0][0].d
     c = len(train_items[0][1].p)
+    for split, items in (("train", train_items), ("validation", val_items)):
+        for i, (g, y) in enumerate(items):
+            if not (np.isfinite(g.v).all() and np.isfinite(g.e).all()):
+                raise ValueError(f"{split} item {i} has non-finite features or edge weights")
+            if len(y.p) != c:
+                raise ValueError(f"{split} item {i} has {len(y.p)} classes, train item 0 has {c}")
     params = init_params(cfg.model, d, c, rng)
     state = AdamWState.for_params(params)
     log = MetricsLog()

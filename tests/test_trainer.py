@@ -388,6 +388,20 @@ class TestEpochStream:
             assert np.array_equal(a.y.p, b.y.p)
 
 
+@pytest.fixture
+def embed_calls(monkeypatch):
+    """The graph lists of every ``embed_batch`` call made through ``training``."""
+    calls = []
+    packed_forward = ifmixup.training.embed_batch
+
+    def recording(graphs, wrapped, params):
+        calls.append(list(graphs))
+        return packed_forward(graphs, wrapped, params)
+
+    monkeypatch.setattr(ifmixup.training, "embed_batch", recording)
+    return calls
+
+
 class TestBatchGradients:
     def test_deferred_pair_batches(self, tiny_dataset):
         cfg = m.TrainConfig(
@@ -461,6 +475,39 @@ class TestBatchGradients:
         index = len(batch) - 1
         with pytest.raises(ValueError, match=rf"sample {index} is a plain graph but carries manifold-mix layer 2"):
             batch_gradients(batch, params, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("lam_none", r"sample 1: a pair needs lam in \[0, 1\], got None"),
+            ("lam_above_one", r"sample 1: a pair needs lam in \[0, 1\], got 1\.5"),
+            ("lam_below_zero", r"sample 1: a pair needs lam in \[0, 1\], got -0\.25"),
+            ("lam_nan", r"sample 1: a pair needs lam in \[0, 1\], got nan"),
+            ("neither", "sample 1 must hold exactly one of a graph and a pair, it holds neither"),
+            ("both", "sample 1 must hold exactly one of a graph and a pair, it holds both"),
+            ("three_classes", "sample 1: label has 3 classes, the model 2"),
+        ],
+    )
+    def test_malformed_sample_named(self, tiny_dataset, case, message):
+        params, ga, gb, lam, y = self.mixed_pair(tiny_dataset, "gin", 3, 4)
+        bad = {
+            "lam_none": EpochSample(y=y, pair=(ga, gb)),
+            "lam_above_one": EpochSample(y=y, pair=(ga, gb), lam=1.5),
+            "lam_below_zero": EpochSample(y=y, pair=(ga, gb), lam=-0.25),
+            "lam_nan": EpochSample(y=y, pair=(ga, gb), lam=float("nan")),
+            "neither": EpochSample(y=y),
+            "both": EpochSample(y=y, g=ga, pair=(ga, gb), lam=lam),
+            "three_classes": EpochSample(y=m.LabelDistribution.one_hot(2, 3), g=gb),
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            batch_gradients([EpochSample(y=y, g=ga), bad], params, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_lam_bounds_accepted(self, tiny_dataset, lam):
+        params, ga, gb, _, y = self.mixed_pair(tiny_dataset, "gcn", 2, 4)
+        mixed, _ = batch_gradients([EpochSample(y=y, pair=(ga, gb), lam=lam)], params, np.random.default_rng(0))
+        alone, _ = batch_gradients([EpochSample(y=y, g=ga if lam else gb)], params, np.random.default_rng(0))
+        assert mixed == pytest.approx(alone, abs=1e-12)
 
     @settings(max_examples=40)
     @given(arch=st.sampled_from(["gcn", "gin"]), k=st.integers(1, 3), seed=st.integers(0, 2**16))
@@ -544,6 +591,36 @@ class TestPackedMatchesPerGraph:
                 batch.append(EpochSample(y=m.mix_labels(ya, yb, lam), pair=(ga, gb), lam=lam, layer=layer))
         assert_matches_reference(batch, params, seed=44)
 
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("case", ["same_object_pair", "plain_is_pair_side", "equal_copies"])
+    def test_shared_graphs(self, embed_calls, model, case):
+        # graphs are taken once per object, never merged by value
+        params = self.params(model)
+        items = uneven_items()
+        (g, y), (h, z), (f, x) = items[1], items[3], items[5]
+        copy = m.NodeFeaturedGraph(g.v.copy(), g.e.copy())
+        mix = m.mix_labels(y, z, 0.4)
+        batch, distinct = {
+            "same_object_pair": (
+                [
+                    EpochSample(y=y, pair=(g, g), lam=0.3),
+                    EpochSample(y=mix, pair=(g, h), lam=0.4, layer=2),
+                    EpochSample(y=y, pair=(g, g), lam=0.8, layer=1),
+                ],
+                [g, h],
+            ),
+            "plain_is_pair_side": (
+                [EpochSample(y=mix, pair=(g, h), lam=0.4, layer=1), EpochSample(y=x, g=f), EpochSample(y=z, g=h)],
+                [g, h, f],
+            ),
+            "equal_copies": (
+                [EpochSample(y=y, pair=(g, copy), lam=0.7), EpochSample(y=y, g=copy), EpochSample(y=y, g=g)],
+                [g, copy],
+            ),
+        }[case]
+        assert_matches_reference(batch, params, seed=47)
+        assert [[id(graph) for graph in call] for call in embed_calls] == [[id(graph) for graph in distinct]]
+
     @pytest.mark.parametrize("side", ["plain", "pair_a", "pair_b"])
     def test_empty_graph_rejected(self, side):
         params = self.params(dict(arch="gin"))
@@ -570,6 +647,33 @@ class TestPackedMatchesPerGraph:
         for gradients in (batch_gradients, reference_gradients):
             with pytest.raises(ValueError, match="gradients need a nonempty batch"):
                 gradients([], params, np.random.default_rng(0))
+
+
+class TestOneForwardPerBatch:
+    """A batch embeds its distinct graph objects in one packed forward."""
+
+    @pytest.mark.parametrize("kind", ["mixup_graph", "manifold_mixup", "none"])
+    def test_each_full_batch_makes_one_call(self, embed_calls, tiny_dataset, kind):
+        batch_size = 4
+        cfg = m.TrainConfig(
+            model=m.ModelConfig(arch="gcn", k=3, hidden=4),
+            augment=m.AugmentSpec(kind=kind, beta=m.BetaParams(2, 2)),
+            batch_size=batch_size,
+        )
+        params = m.init_params(cfg.model, tiny_dataset.feature_dim, 2, np.random.default_rng(60))
+        stream = build_epoch_stream(tiny_dataset.items, cfg, np.random.default_rng(61))
+        assert len(stream) % batch_size == 0 and len(stream) > batch_size
+        for start in range(0, len(stream), batch_size):
+            batch = stream[start : start + batch_size]
+            batch_gradients(batch, params, np.random.default_rng(62))
+            if kind == "none":
+                expected = [s.g for s in batch]
+            else:
+                # partners are shifted by one: B pairs hold B + 1 graphs
+                expected = [batch[0].pair[0]] + [s.pair[1] for s in batch]
+            assert len({id(g) for g in expected}) == len(batch) + (kind != "none")
+            assert [id(g) for g in embed_calls[-1]] == [id(g) for g in expected]
+        assert len(embed_calls) == len(stream) // batch_size
 
 
 @pytest.fixture
@@ -625,20 +729,13 @@ class TestEvaluate:
         assert 0 < hits < len(items)
         assert m.evaluate(params, items) == hits / len(items)
 
-    def test_chunks_hold_graphs_of_similar_size(self, monkeypatch):
+    def test_chunks_hold_graphs_of_similar_size(self, embed_calls):
         params = m.init_params(m.ModelConfig(arch="gcn", k=1, hidden=3), 4, 2, np.random.default_rng(48))
         rng = np.random.default_rng(49)
         sizes = [EVAL_ROWS + 1, 60] + [int(rng.integers(1, 8)) for _ in range(EVAL_ROWS // 3)]
         items = [(rand_one_hot_graph(rng, n, 4, 0.01), m.LabelDistribution.one_hot(0, 2)) for n in sizes]
-        chunks = []
-        packed_forward = ifmixup.training.embed_batch
-
-        def recording(graphs, wrapped, params):
-            chunks.append([g.n for g in graphs])
-            return packed_forward(graphs, wrapped, params)
-
-        monkeypatch.setattr(ifmixup.training, "embed_batch", recording)
         m.evaluate(params, items)
+        chunks = [[g.n for g in call] for call in embed_calls]
         assert [n for chunk in chunks for n in chunk] == sorted(sizes)
         assert all(sum(chunk) <= EVAL_ROWS for chunk in chunks[:-1])
         assert chunks[-1] == [EVAL_ROWS + 1]  # a graph over the budget runs alone
@@ -730,6 +827,13 @@ class TestTrainSingle:
         g, y = items[at]
         items[at] = (m.NodeFeaturedGraph(g.v * np.nan, g.e), y)
         with pytest.raises(ValueError, match=f"{split} item {index} has non-finite"):
+            m.train_single(items[:8], items[8:], self.config(), m.derive_rng(0, 0, 0))
+
+    @pytest.mark.parametrize("split, at, index", [("train", 5, 5), ("validation", 10, 2)])
+    def test_class_count_mismatch_named(self, tiny_dataset, split, at, index):
+        items = list(tiny_dataset.items)
+        items[at] = (items[at][0], m.LabelDistribution.one_hot(0, 3))
+        with pytest.raises(ValueError, match=f"{split} item {index} has 3 classes, train item 0 has 2"):
             m.train_single(items[:8], items[8:], self.config(), m.derive_rng(0, 0, 0))
 
     def test_audit_mixes_reproduces_recorded_run(self, tiny_dataset):
