@@ -80,6 +80,8 @@ class LabelDistribution:
 
     @classmethod
     def one_hot(cls, index: int, num_classes: int) -> "LabelDistribution":
+        if not 0 <= index < num_classes:
+            raise ValueError(f"one-hot index {index} is outside 0..{num_classes - 1} for {num_classes} classes")
         p = np.zeros(num_classes)
         p[index] = 1.0
         return cls(p)
@@ -254,8 +256,8 @@ def pad_pair(
 def permute_nodes(g: NodeFeaturedGraph, perm: np.ndarray) -> NodeFeaturedGraph:
     """Relabel nodes: row i of the result is node perm[i] of the input."""
     perm = np.asarray(perm)
-    if sorted(perm.tolist()) != list(range(g.n)):
-        raise ValueError("perm must be a permutation of range(n)")
+    if perm.ndim != 1 or perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(g.n)):
+        raise ValueError(f"perm must be a 1-D integer permutation of range({g.n}), got {perm!r}")
     return NodeFeaturedGraph(g.v[perm], g.e[np.ix_(perm, perm)])
 
 

@@ -2,20 +2,20 @@
 stratified 10-fold cross-validation with repeated runs, and sweeps.
 
 Each epoch rebuilds its training stream according to the configured
-augmentation: ifMixup pairs a fresh random permutation of the training set
-against itself shifted by one, draws one lambda per pair, and the mixed
-samples replace the originals for that epoch; the drop variants perturb
-every graph freshly; the readout/manifold mixing variants defer the actual
-interpolation to the forward pass so gradients flow through both sources.
-One rule builds every sample's head input: a 0/1 selector over the K layers
-(the manifold-mix layer, or what the readout keeps) masks the mix of the two
-sides' pooled rows at each layer.
+augmentation: every mixing kind pairs a fresh random permutation of the
+training set against itself shifted by one and draws one lambda per pair.
+ifMixup mixes each pair into a graph that replaces the originals for that
+epoch; the drop variants perturb every graph freshly; the readout/manifold
+mixing variants defer the actual interpolation to the forward pass so
+gradients flow through both sources.
 
-Each training step is one packed forward and backward over the whole batch.
-A batch that holds deferred pairs embeds each distinct graph object once,
-whichever sides it stands on, and each side reads its rows from that one
-forward. Evaluation packs the graphs in chunks of at most ``EVAL_ROWS`` node
-rows.
+Each training step is one packed forward and backward over the distinct
+graph objects of its batch, whichever sides they stand on. One rule builds
+every sample's head input from that forward: per layer, a constant mixing
+matrix gives each sample that selects the layer (the manifold-mix layer, or
+what the readout keeps) lam times its A side's pooled row plus 1 - lam
+times its B side's; a plain sample is the pair (g, g) at lam = 1.
+Evaluation packs the graphs in chunks of at most ``EVAL_ROWS`` node rows.
 
 Everything is deterministic given the config seed. Folds and runs use
 derived rng substreams seeded by (seed, run, fold), so they can be computed
@@ -207,71 +207,55 @@ def build_epoch_stream(
             out.append(EpochSample(y=y, g=g))
         return out
 
-    if kind in ("if_mixup", "if_mixup_shuffled"):
-        draw = sample_decodable_lambda if cfg.audit_mixes else sample_lambda
-        out = []
-        for ia, ib in _draw_pairs(n, rng):
-            ga, ya = items[ia]
-            gb, yb = items[ib]
-            lam = draw(cfg.augment.beta, rng)
-            if kind == "if_mixup_shuffled":
-                gb = permute_nodes(gb, rng.permutation(gb.n))
-            mixed = mix_items((ga, ya), (gb, yb), lam)
-            if cfg.audit_mixes:
-                problems = validate_graph(mixed.graph)
-                if problems:
-                    raise RuntimeError(f"mixed sample failed validation: {problems[0]}")
-            out.append(EpochSample(y=mixed.label, g=mixed.graph))
-        return out
-
-    if kind in ("mixup_graph", "manifold_mixup"):
-        out = []
-        for ia, ib in _draw_pairs(n, rng):
-            ga, ya = items[ia]
-            gb, yb = items[ib]
-            lam = sample_lambda(cfg.augment.beta, rng)
-            layer = None
-            if kind == "manifold_mixup":
-                layer = 1 + int(rng.integers(cfg.model.k))
-            out.append(
-                EpochSample(
-                    y=mix_labels(ya, yb, lam), pair=(ga, gb), lam=lam, layer=layer
-                )
-            )
-        return out
-
-    raise ValueError(f"unknown augmentation kind {kind!r}")
+    if kind not in ("if_mixup", "if_mixup_shuffled", "mixup_graph", "manifold_mixup"):
+        raise ValueError(f"unknown augmentation kind {kind!r}")
+    audit = cfg.audit_mixes and kind.startswith("if_mixup")
+    draw = sample_decodable_lambda if audit else sample_lambda
+    out = []
+    for ia, ib in _draw_pairs(n, rng):
+        (ga, ya), (gb, yb) = items[ia], items[ib]
+        lam = draw(cfg.augment.beta, rng)
+        if kind == "if_mixup_shuffled":
+            gb = permute_nodes(gb, rng.permutation(gb.n))
+        if not kind.startswith("if_mixup"):
+            layer = 1 + int(rng.integers(cfg.model.k)) if kind == "manifold_mixup" else None
+            out.append(EpochSample(y=mix_labels(ya, yb, lam), pair=(ga, gb), lam=lam, layer=layer))
+            continue
+        mixed = mix_items((ga, ya), (gb, yb), lam)
+        problems = validate_graph(mixed.graph) if audit else []
+        if problems:
+            raise RuntimeError(f"mixed sample failed validation: {problems[0]}")
+        out.append(EpochSample(y=mixed.label, g=mixed.graph))
+    return out
 
 
 # -- gradients over heterogeneous batches ------------------------------------------
 
 
-def _mixed_rows(
-    batch: list[EpochSample], pooled_a: list[Tensor], pooled_b: list[Tensor], cfg: ModelConfig
-) -> Tensor:
-    """Each sample's head input, from one 0/1 selector over the K layers.
+def _mixed_rows(batch: list[EpochSample], ids: list[int], pooled: list[Tensor], cfg: ModelConfig) -> Tensor:
+    """Each sample's head input, from one constant (B x D) mixing matrix per layer.
 
-    A manifold mix at layer k selects layer k. A readout mix selects what
-    the readout keeps: every layer for GIN, the last for GCN; a plain sample
-    is the pair (g, g) at lam = 1. Layer l gives
-    ``lam * pooled_a[l] + (1 - lam) * pooled_b[l]`` masked by selector column
-    l. GIN concatenates the masked parts into their blocks, as
-    ``embed_batch`` builds ``h_graph``; GCN sums them over the layers that
-    any sample selects. Row i of ``pooled_a[l]`` and ``pooled_b[l]`` is
-    the pooled layer l of sample i's A and B side (for a plain sample, its
-    graph on both).
+    ``pooled[l]`` holds layer l's pooled rows of the D graph objects whose
+    ``id`` values ``ids`` lists, in that order. Row i of layer l's matrix
+    is zero unless sample i selects layer l; then it holds lam in its A
+    side's column and 1 - lam in its B side's, summed into one cell when
+    both sides are one object. A plain sample is the pair (g, g) at
+    lam = 1. A manifold mix at layer k selects layer k; a readout mix
+    selects what the readout keeps: every layer for GIN, the last for GCN.
+    GIN concatenates the mixed layers into their blocks, as ``embed_batch``
+    builds ``h_graph``; GCN sums them over the layers that any sample
+    selects.
     """
-    lam = np.array([[1.0 if s.pair is None else float(s.lam)] for s in batch])
-    select = np.zeros((len(batch), cfg.k))
+    column = {key: j for j, key in enumerate(ids)}
+    rows = np.zeros((len(batch), len(ids)))
+    select = np.zeros((cfg.k, len(batch), 1))
     readout = slice(None) if cfg.arch == "gin" else slice(cfg.k - 1, None)
-    for row, s in zip(select, batch):
-        row[readout if s.layer is None else s.layer - 1] = 1.0
-    parts = [
-        (pooled_a[i] * constant(lam) + pooled_b[i] * constant(1.0 - lam))
-        * constant(select[:, i : i + 1])
-        for i in range(cfg.k)
-        if cfg.arch == "gin" or select[:, i].any()
-    ]
+    for i, s in enumerate(batch):
+        (ga, gb), lam = ((s.g, s.g), 1.0) if s.pair is None else (s.pair, float(s.lam))
+        rows[i, column[id(ga)]] += lam
+        rows[i, column[id(gb)]] += 1.0 - lam
+        select[readout if s.layer is None else s.layer - 1, i] = 1.0
+    parts = [constant(m) @ p for m, p in zip(select * rows, pooled) if cfg.arch == "gin" or m.any()]
     return concat(parts, axis=1) if cfg.arch == "gin" else sum(parts[1:], parts[0])
 
 
@@ -282,15 +266,13 @@ def batch_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean loss over a heterogeneous batch and its exact gradients.
 
-    The batch runs on one tape with one packed forward. When any sample is
-    a deferred pair, that forward covers the distinct graph objects of all
-    plain samples, A sides and B sides, taken once each (by identity, in
-    first-seen order), and each side reads its pooled rows from it through
-    a constant 0/1 row selector; ``_mixed_rows`` then builds every sample's
-    head input by one rule, so each sample's loss is the one it has alone.
-    The source passes run without dropout; one dropout draw of shape
-    (B x C) masks the logits after the dense layer, row i for sample i, as
-    B draws of (1 x C) would.
+    The batch runs on one tape with one packed forward over the distinct
+    graph objects of its samples, plain graphs, A sides and B sides, taken
+    once each (by identity, in first-seen order). ``_mixed_rows`` then
+    builds every sample's head input from that forward by one rule, so each
+    sample's loss is the one it has alone. The source passes run without
+    dropout; one dropout draw of shape (B x C) masks the logits after the
+    dense layer, row i for sample i, as B draws of (1 x C) would.
 
     Each sample holds exactly one of a graph and a pair, and a label over
     the model's classes; a pair carries lam in [0, 1], and only a pair may
@@ -317,19 +299,9 @@ def batch_gradients(
         if not 1 <= sample.layer <= cfg.k:
             raise ValueError(f"sample {i}: manifold-mix layer {sample.layer} outside 1..{cfg.k}")
     wrapped = wrap_params(params, requires_grad=True)
-    if all(s.pair is None for s in batch):
-        h = embed_batch([s.g for s in batch], wrapped, params)[2]
-    else:
-        sides = [(s.g, s.g) if s.pair is None else s.pair for s in batch]
-        distinct = {id(g): g for pair in sides for g in pair}  # first-seen order
-        row = {key: i for i, key in enumerate(distinct)}
-        pooled = embed_batch(list(distinct.values()), wrapped, params)[1]
-        select = np.zeros((2, len(batch), len(distinct)))
-        for i, pair in enumerate(sides):
-            for side, g in enumerate(pair):
-                select[side, i, row[id(g)]] = 1.0
-        pooled_a, pooled_b = ([constant(sel) @ p for p in pooled] for sel in select)
-        h = _mixed_rows(batch, pooled_a, pooled_b, cfg)
+    distinct = {id(g): g for s in batch for g in ((s.g,) if s.pair is None else s.pair)}  # first-seen order
+    pooled = embed_batch(list(distinct.values()), wrapped, params)[1]
+    h = _mixed_rows(batch, list(distinct), pooled, cfg)
     logits = apply_dropout(head_logits(h, wrapped), cfg.dropout, training=True, rng=rng)
     loss = cross_entropy_t([s.y for s in batch], logits).scale(1.0 / len(batch))
     loss.backward()
@@ -412,6 +384,8 @@ def train_single(
         for i, (g, y) in enumerate(items):
             if not (np.isfinite(g.v).all() and np.isfinite(g.e).all()):
                 raise ValueError(f"{split} item {i} has non-finite features or edge weights")
+            if g.d != d:
+                raise ValueError(f"{split} item {i} has {g.d} feature columns, train item 0 has {d}")
             if len(y.p) != c:
                 raise ValueError(f"{split} item {i} has {len(y.p)} classes, train item 0 has {c}")
     params = init_params(cfg.model, d, c, rng)

@@ -131,11 +131,29 @@ class TestPermuteNodes:
         with pytest.raises(ValueError, match="permutation"):
             m.permute_nodes(g2(), np.array([0, 0]))
 
+    @pytest.mark.parametrize(
+        "perm, shown",
+        [
+            (np.array([True, False]), r"array\(\[ True, False\]\)"),  # sorts to [0, 1] as ints
+            (np.array([1.0, 0.0]), r"array\(\[1\., 0\.\]\)"),
+            (np.array([[1, 0]]), r"array\(\[\[1, 0\]\]\)"),
+        ],
+        ids=["bool-mask", "float", "2-d"],
+    )
+    def test_non_integer_or_non_flat_perm_named(self, perm, shown):
+        with pytest.raises(ValueError, match=rf"1-D integer permutation of range\(2\), got {shown}"):
+            m.permute_nodes(g2(), perm)
+
 
 class TestLabelDistribution:
     def test_one_hot(self):
         y = m.LabelDistribution.one_hot(1, 3)
         assert y.is_one_hot() and y.argmax() == 1 and y.num_classes == 3
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_one_hot_index_out_of_range_named(self, index):
+        with pytest.raises(ValueError, match=rf"one-hot index {index} is outside 0\.\.2 for 3 classes"):
+            m.LabelDistribution.one_hot(index, 3)
 
     def test_soft_label_not_one_hot(self):
         assert not m.LabelDistribution(np.array([0.7, 0.3])).is_one_hot()

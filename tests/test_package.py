@@ -162,6 +162,22 @@ def test_linalg_is_named_once_in_the_solver():
     assert found == [("graphs.py", "_solve_rows")]
 
 
+def test_training_embeds_in_the_step_and_in_evaluate_only():
+    """training.py runs the packed forward at two sites: the one step path in
+    batch_gradients and the chunk loop of evaluate. A second forward path in
+    the step would add a site."""
+    with open(os.path.join(os.path.dirname(m.__file__), "training.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), "training.py")
+    sites = [
+        function.name
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and "embed_batch" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert sites == ["batch_gradients", "evaluate"]
+
+
 CONFIGS = (m.ModelConfig, m.AugmentSpec, m.BetaParams, m.TrainConfig, ifmixup.cli._DatasetBlock)
 
 

@@ -19,6 +19,7 @@ from ifmixup.models import (
     _gcn_norm,
     apply_dropout,
     cross_entropy_t,
+    embed_batch,
     head_logits,
     head_logits_layer_block,
     wrap_params,
@@ -97,6 +98,21 @@ def reference_gradients(batch, params, rng):
         ce = reference_sample_loss(sample, wrapped, params, rng)
         total = ce if total is None else total + ce
     loss = total.scale(1.0 / len(batch))
+    loss.backward()
+    grads = {
+        name: (w.grad if w.grad is not None else np.zeros_like(w.value))
+        for name, w in wrapped.items()
+    }
+    return float(loss.value), grads
+
+
+def readout_gradients(batch, params, rng):
+    """The step of an all-plain batch read straight off the readout: the
+    packed forward's ``h_graph``, then head, dropout and cross-entropy."""
+    wrapped = wrap_params(params, requires_grad=True)
+    h_graph = embed_batch([s.g for s in batch], wrapped, params)[2]
+    logits = apply_dropout(head_logits(h_graph, wrapped), params.config.dropout, training=True, rng=rng)
+    loss = cross_entropy_t([s.y for s in batch], logits).scale(1.0 / len(batch))
     loss.backward()
     grads = {
         name: (w.grad if w.grad is not None else np.zeros_like(w.value))
@@ -379,6 +395,62 @@ class TestEpochStream:
             layers.update(s.layer for s in stream)
         assert layers == {1, 2}  # uniform over 1..K for K=2
 
+    LAMS = [
+        0.19622144535374386, 0.15217144138763453, 0.5321326210586242, 0.24868947298582558,
+        0.8117725957684974, 0.5381248286712684, 0.6057981666220023, 0.28995382537227443,
+    ]
+    PINNED = {  # lam per pair, manifold layer per pair, the rng's next draw after the stream
+        "if_mixup": (LAMS, [None] * 8, 0.26055566450452683),
+        "mixup_graph": (LAMS, [None] * 8, 0.26055566450452683),
+        "if_mixup_shuffled": (
+            [
+                0.19622144535374386, 0.15217144138763453, 0.43051119436024343, 0.4081190875965962,
+                0.09640210992256688, 0.28995382537227443, 0.6241913106308195, 0.4203535885277735,
+            ],
+            [None] * 8,
+            0.9409059641483916,
+        ),
+        "manifold_mixup": (
+            [
+                0.19622144535374386, 0.15217144138763453, 0.43051119436024343, 0.39147491709417814,
+                0.2357118404786896, 0.7018476046090528, 0.10862613242703671, 0.5030177409279029,
+            ],
+            [3, 1, 1, 3, 2, 3, 1, 2],
+            0.7019654599218196,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(PINNED))
+    def test_pair_draws_are_pinned(self, monkeypatch, kind):
+        # per pair: lam, then the shuffle permutation or the manifold layer
+        items = uneven_items()
+        index = {id(g): i for i, (g, _) in enumerate(items)}
+        draws = []
+        mix, permute = ifmixup.training.mix_items, ifmixup.training.permute_nodes
+
+        def permute_recorded(g, perm):
+            out = permute(g, perm)
+            index[id(out)] = index[id(g)]
+            return out
+
+        def mix_recorded(a, b, lam):
+            draws.append((index[id(a[0])], index[id(b[0])], lam, None))
+            return mix(a, b, lam)
+
+        monkeypatch.setattr(ifmixup.training, "permute_nodes", permute_recorded)
+        monkeypatch.setattr(ifmixup.training, "mix_items", mix_recorded)
+        cfg = m.TrainConfig(
+            model=m.ModelConfig(arch="gin", k=3, hidden=4), augment=m.AugmentSpec(kind=kind, beta=m.BetaParams(2, 2))
+        )
+        rng = np.random.default_rng(70)
+        stream = build_epoch_stream(items, cfg, rng)
+        draws += [(index[id(s.pair[0])], index[id(s.pair[1])], s.lam, s.layer) for s in stream if s.pair]
+        lams, layers, next_draw = self.PINNED[kind]
+        assert [(a, b) for a, b, _, _ in draws] == [(3, 0), (0, 6), (6, 1), (1, 5), (5, 2), (2, 4), (4, 7), (7, 3)]
+        assert [lam for _, _, lam, _ in draws] == lams
+        assert [layer for *_, layer in draws] == layers
+        assert rng.random() == next_draw
+
     def test_deterministic_given_rng(self, tiny_dataset):
         cfg = self.spec("if_mixup", beta=m.BetaParams(2, 2))
         s1 = build_epoch_stream(tiny_dataset.items, cfg, np.random.default_rng(8))
@@ -576,6 +648,24 @@ class TestPackedMatchesPerGraph:
         )
         batch = build_epoch_stream(uneven_items(), cfg, np.random.default_rng(42))
         assert_matches_reference(batch, params, seed=43)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k not in ("mixup_graph", "manifold_mixup")])
+    def test_all_plain_batch_is_byte_equal_to_the_readout(self, kind, model):
+        # identity rows in the mixing matrices add only exact zeros
+        params = self.params(model)
+        cfg = m.TrainConfig(
+            model=params.config, augment=m.AugmentSpec(kind=kind, beta=m.BetaParams(2, 2), ratio=0.4)
+        )
+        batch = build_epoch_stream(uneven_items(), cfg, np.random.default_rng(48))
+        rng, ref_rng = np.random.default_rng(49), np.random.default_rng(49)
+        loss, grads = batch_gradients(batch, params, rng)
+        ref_loss, ref_grads = readout_gradients(batch, params, ref_rng)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("model", MODELS)
     def test_heterogeneous_batch(self, model):
@@ -834,6 +924,15 @@ class TestTrainSingle:
         items = list(tiny_dataset.items)
         items[at] = (items[at][0], m.LabelDistribution.one_hot(0, 3))
         with pytest.raises(ValueError, match=f"{split} item {index} has 3 classes, train item 0 has 2"):
+            m.train_single(items[:8], items[8:], self.config(), m.derive_rng(0, 0, 0))
+
+    @pytest.mark.parametrize("split, at, index", [("train", 6, 6), ("validation", 8, 0)])
+    def test_feature_width_mismatch_named(self, tiny_dataset, split, at, index):
+        items = list(tiny_dataset.items)
+        g, y = items[at]
+        items[at] = (m.NodeFeaturedGraph(np.hstack([g.v, np.zeros((g.n, 1))]), g.e), y)
+        d = tiny_dataset.feature_dim
+        with pytest.raises(ValueError, match=f"{split} item {index} has {d + 1} feature columns, train item 0 has {d}"):
             m.train_single(items[:8], items[8:], self.config(), m.derive_rng(0, 0, 0))
 
     def test_audit_mixes_reproduces_recorded_run(self, tiny_dataset):
