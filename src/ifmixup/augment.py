@@ -66,7 +66,7 @@ def drop_edge(g: NodeFeaturedGraph, ratio: float, rng: np.random.Generator) -> N
 
 def drop_node(g: NodeFeaturedGraph, ratio: float, rng: np.random.Generator) -> NodeFeaturedGraph:
     """Remove floor(ratio * n) nodes and their incident edges, re-indexing."""
-    if ratio < 0.0:
+    if not ratio >= 0.0:  # NaN fails it too
         raise ValueError(f"drop ratio must be nonnegative, got {ratio}")
     if not is_binary(g):
         raise ValueError("drop_node expects a binary-edge graph")

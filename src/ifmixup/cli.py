@@ -2,7 +2,8 @@
 
 Subcommands: stats, mix, recover, audit, check-independence, train, cv,
 sweep, plot. Exit codes: 0 success, 1 domain error (bad data, failed
-recovery), 2 usage error (unknown command or flag).
+recovery, a diverging
+loss), 2 usage error (unknown command or flag).
 
 The train/cv/sweep commands read a single JSON configuration document; any
 flag given on the command line overrides the document, which overrides the
@@ -33,12 +34,13 @@ from .recovery import (
     sample_decodable_lambda,
 )
 from .training import (
+    NonFiniteLossError,
     TrainConfig,
     cross_validate,
     derive_rng,
+    fold_splits,
     metrics_to_csv,
     load_metrics_csv,
-    stratified_folds,
     summary_to_json,
     sweep,
     train_config_from_dict,
@@ -319,10 +321,7 @@ def _load_run(args) -> tuple[GraphDataset, TrainConfig, str | None]:
 def _cmd_train(args) -> int:
     ds, cfg, out = _load_run(args)
 
-    class_indices = [y.argmax() for y in ds.labels()]
-    folds = stratified_folds(class_indices, cfg.folds, np.random.default_rng(cfg.seed))
-    val_items = [ds.items[i] for i in folds[0]]
-    train_items = [ds.items[i] for f in folds[1:] for i in f]
+    train_items, val_items = fold_splits(ds, cfg)[0]
     print(
         f"training on {len(train_items)} graphs, validating on {len(val_items)} "
         f"({ds.name}, {cfg.model.arch.upper()} K={cfg.model.k}, augment={cfg.augment.kind})"
@@ -406,7 +405,7 @@ def run_command(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, RecoveryError, ValueError, OSError) as exc:
+    except (ParseError, RecoveryError, NonFiniteLossError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,9 +26,9 @@ size for ``autodiff.segment_matmul``. Readout is a constant (B x N) matrix
 on the node rows. ``embed_batch`` is that forward, the one every caller
 runs: ``forward_trace`` on a batch of one, and ``batch_gradients`` and
 ``evaluate`` in :mod:`.training` on whole batches, each followed by
-``head_logits``. The exact gradient of the batch-mean loss for every
-parameter, including the GIN eps scalars, comes from ``batch_gradients``
-and ``model_gradients``.
+``readout_rows`` (or a mix of the pooled rows) and ``head_logits``. The
+exact gradient of the batch-mean loss for every parameter, including the
+GIN eps scalars, comes from ``batch_gradients`` and ``model_gradients``.
 """
 
 from __future__ import annotations
@@ -271,8 +271,8 @@ class TensorTrace:
 
 def embed_batch(
     graphs: list[NodeFeaturedGraph], wrapped: dict[str, Tensor], params: ModelParams
-) -> tuple[list[Tensor], list[Tensor], Tensor]:
-    """The layer stack on a packed batch: (embeddings, pooled, h_graph)."""
+) -> tuple[list[Tensor], list[Tensor]]:
+    """The layer stack on a packed batch: (embeddings, pooled), per layer."""
     cfg = params.config
     if not graphs:
         raise ValueError("cannot embed an empty batch of graphs")
@@ -305,9 +305,12 @@ def embed_batch(
             h = gin_layer_t(h, packed, wrapped[f"layer{layer}.eps"], mlp)
         embeddings.append(h)
 
-    pooled = [packed.readout(e) for e in embeddings]
-    h_graph = concat(pooled, axis=1) if cfg.arch == "gin" else pooled[-1]
-    return embeddings, pooled, h_graph
+    return embeddings, [packed.readout(e) for e in embeddings]
+
+
+def readout_rows(pooled: list[Tensor], config: ModelConfig) -> Tensor:
+    """The head's input from the pooled rows per layer: all concatenated (GIN), the last (GCN)."""
+    return concat(pooled, axis=1) if config.arch == "gin" else pooled[-1]
 
 
 def forward_trace(
@@ -318,7 +321,8 @@ def forward_trace(
     rng: np.random.Generator | None = None,
 ) -> TensorTrace:
     """Run the configured stack on one graph: the packed forward on a batch of one."""
-    embeddings, pooled, h_graph = embed_batch([g], wrapped, params)
+    embeddings, pooled = embed_batch([g], wrapped, params)
+    h_graph = readout_rows(pooled, params.config)
     logits = apply_dropout(head_logits(h_graph, wrapped), params.config.dropout, training, rng)
     return TensorTrace(embeddings, pooled, h_graph, logits)
 

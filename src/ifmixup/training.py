@@ -2,12 +2,12 @@
 stratified 10-fold cross-validation with repeated runs, and sweeps.
 
 Each epoch rebuilds its training stream according to the configured
-augmentation: every mixing kind pairs a fresh random permutation of the
-training set against itself shifted by one and draws one lambda per pair.
-ifMixup mixes each pair into a graph that replaces the originals for that
-epoch; the drop variants perturb every graph freshly; the readout/manifold
-mixing variants defer the actual interpolation to the forward pass so
-gradients flow through both sources.
+augmentation: every kind pairs a fresh random permutation of the training
+set against itself shifted by one. The plain kinds keep each A side, which
+the drop variants perturb freshly; the mixing kinds draw one lambda per
+pair. ifMixup mixes each pair into a graph that replaces the originals for
+that epoch; the readout/manifold mixing variants defer the interpolation
+to the forward pass so gradients flow through both sources.
 
 Each training step is one packed forward and backward over the distinct
 graph objects of its batch, whichever sides they stand on. One rule builds
@@ -17,9 +17,9 @@ what the readout keeps) lam times its A side's pooled row plus 1 - lam
 times its B side's; a plain sample is the pair (g, g) at lam = 1.
 Evaluation packs the graphs in chunks of at most ``EVAL_ROWS`` node rows.
 
-Everything is deterministic given the config seed. Folds and runs use
-derived rng substreams seeded by (seed, run, fold), so they can be computed
-in any order (or in parallel) with identical results.
+Everything is deterministic given the config seed, which fixes the folds
+of ``fold_splits``; runs and folds use derived rng substreams seeded by
+(seed, run, fold), so they can be computed in any order (or in parallel).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .models import (
     embed_batch,
     head_logits,
     init_params,
+    readout_rows,
     wrap_params,
 )
 from .augment import drop_edge, drop_node
@@ -178,9 +179,7 @@ class EpochSample:
     layer: int | None = None  # manifold-mix layer (1-based); None = readout
 
 
-def _draw_pairs(
-    n: int, rng: np.random.Generator
-) -> list[tuple[int, int]]:
+def _draw_pairs(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Every index once as the A side, partner shifted by one in a fresh permutation."""
     p = rng.permutation(n)
     return [(int(p[i]), int(p[(i + 1) % n])) for i in range(n)]
@@ -191,29 +190,19 @@ def build_epoch_stream(
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> list[EpochSample]:
-    """The epoch's training samples under the configured augmentation."""
+    """The epoch's training samples under the configured augmentation, one
+    per pair of a ``_draw_pairs`` draw: its A side alone, freshly dropped, or
+    mixed at a fresh lam (then the shuffle permutation or manifold layer)."""
     kind = cfg.augment.kind
-    n = len(items)
-
-    if kind in ("none", "drop_edge", "drop_node"):
-        order = rng.permutation(n)
-        out = []
-        for i in order:
-            g, y = items[int(i)]
-            if kind == "drop_edge":
-                g = drop_edge(g, cfg.augment.ratio, rng)
-            elif kind == "drop_node":
-                g = drop_node(g, cfg.augment.ratio, rng)
-            out.append(EpochSample(y=y, g=g))
-        return out
-
-    if kind not in ("if_mixup", "if_mixup_shuffled", "mixup_graph", "manifold_mixup"):
-        raise ValueError(f"unknown augmentation kind {kind!r}")
+    drop = {"drop_edge": drop_edge, "drop_node": drop_node}.get(kind)
     audit = cfg.audit_mixes and kind.startswith("if_mixup")
     draw = sample_decodable_lambda if audit else sample_lambda
     out = []
-    for ia, ib in _draw_pairs(n, rng):
+    for ia, ib in _draw_pairs(len(items), rng):
         (ga, ya), (gb, yb) = items[ia], items[ib]
+        if kind in ("none", "drop_edge", "drop_node"):
+            out.append(EpochSample(y=ya, g=ga if drop is None else drop(ga, cfg.augment.ratio, rng)))
+            continue
         lam = draw(cfg.augment.beta, rng)
         if kind == "if_mixup_shuffled":
             gb = permute_nodes(gb, rng.permutation(gb.n))
@@ -242,8 +231,8 @@ def _mixed_rows(batch: list[EpochSample], ids: list[int], pooled: list[Tensor], 
     both sides are one object. A plain sample is the pair (g, g) at
     lam = 1. A manifold mix at layer k selects layer k; a readout mix
     selects what the readout keeps: every layer for GIN, the last for GCN.
-    GIN concatenates the mixed layers into their blocks, as ``embed_batch``
-    builds ``h_graph``; GCN sums them over the layers that any sample
+    GIN concatenates the mixed layers into their blocks, as ``readout_rows``
+    builds the readout; GCN sums them over the layers that any sample
     selects.
     """
     column = {key: j for j, key in enumerate(ids)}
@@ -362,8 +351,8 @@ def evaluate(
         rows += item[0].n
     hits = 0
     for chunk in chunks:
-        h_graph = embed_batch([g for g, _ in chunk], wrapped, params)[2]
-        logits = head_logits(h_graph, wrapped).value
+        pooled = embed_batch([g for g, _ in chunk], wrapped, params)[1]
+        logits = head_logits(readout_rows(pooled, params.config), wrapped).value
         hits += sum(int(np.argmax(row)) == y.argmax() for row, (_, y) in zip(logits, chunk))
     return hits / len(items)
 
@@ -436,35 +425,30 @@ def stratified_folds(
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
 
 
-def cross_validate(ds: GraphDataset, cfg: TrainConfig, log_fn=None) -> MetricsLog:
-    """Benchmark protocol: `runs` repeats of k-fold CV, mean +- std over runs.
-
-    Fold assignment is stratified and fixed by the config seed; each
-    (run, fold) cell trains from its own derived rng substream. The reported
-    mean and standard deviation (population) are over the runs' fold-averaged
-    accuracies.
-    """
+def fold_splits(ds: GraphDataset, cfg: TrainConfig) -> list[tuple[list, list]]:
+    """(train items, validation items) of each of the config seed's stratified
+    folds: ``cross_validate`` walks them all, ``ifmixup train`` takes the first.
+    A fold trains on the other folds' items, in fold order."""
     if len(ds) < cfg.folds:
         raise ValueError(f"dataset of {len(ds)} graphs cannot fill {cfg.folds} folds")
-    class_indices = [y.argmax() for y in ds.labels()]
-    folds = stratified_folds(class_indices, cfg.folds, np.random.default_rng(cfg.seed))
+    folds = stratified_folds([y.argmax() for y in ds.labels()], cfg.folds, np.random.default_rng(cfg.seed))
+    parts = [[ds.items[i] for i in fold] for fold in folds]
+    return [([g for part in parts[:f] + parts[f + 1 :] for g in part], parts[f]) for f in range(cfg.folds)]
+
+
+def cross_validate(ds: GraphDataset, cfg: TrainConfig, log_fn=None) -> MetricsLog:
+    """Benchmark protocol: `runs` repeats of CV over ``fold_splits``, each (run, fold)
+    cell trained from its own derived rng substream. The mean and standard deviation
+    (population) are over the runs' fold-averaged accuracies."""
+    splits = fold_splits(ds, cfg)
     log = MetricsLog()
-    run_means = []
     for run in range(cfg.runs):
-        accs = []
-        for fold_idx, fold in enumerate(folds):
-            val_items = [ds.items[i] for i in fold]
-            train_items = [
-                ds.items[i] for other in folds if other is not fold for i in other
-            ]
-            rng = derive_rng(cfg.seed, run, fold_idx)
-            _, fold_log = train_single(train_items, val_items, cfg, rng)
-            acc = fold_log.val_acc[-1]
-            accs.append(acc)
-            log.fold_acc.append(acc)
+        for fold, (train_items, val_items) in enumerate(splits):
+            _, cell = train_single(train_items, val_items, cfg, derive_rng(cfg.seed, run, fold))
+            log.fold_acc.append(cell.val_acc[-1])
             if log_fn is not None:
-                log_fn(run, fold_idx, acc)
-        run_means.append(float(np.mean(accs)))
+                log_fn(run, fold, cell.val_acc[-1])
+    run_means = np.mean(np.reshape(log.fold_acc, (cfg.runs, cfg.folds)), axis=1)
     log.mean = float(np.mean(run_means))
     log.std = float(np.std(run_means))
     return log
@@ -489,21 +473,19 @@ def sweep(
     values: tuple | None = None,
     log_fn=None,
 ) -> list[SweepCell]:
-    """Cross-validate along one axis: Beta parameters or model depth."""
-    cells = []
-    if axis == "beta":
-        for params in values if values is not None else SWEEP_BETAS:
-            cfg = replace(
-                base, augment=replace(base.augment, kind="if_mixup", beta=params)
-            )
-            label = f"beta({params.alpha:g},{params.beta:g})"
-            cells.append(SweepCell(label, cfg, cross_validate(ds, cfg, log_fn)))
-    elif axis == "layers":
-        for k in values if values is not None else DEPTH_SWEEP:
-            cfg = replace(base, model=replace(base.model, k=int(k)))
-            cells.append(SweepCell(f"K={k}", cfg, cross_validate(ds, cfg, log_fn)))
-    else:
+    """Cross-validate along one axis: if_mixup's Beta parameters or model depth
+    (``SWEEP_BETAS`` or ``DEPTH_SWEEP`` by default). Each value enters the
+    config as given, so its rule refuses a depth that is not an integer."""
+    if axis not in ("beta", "layers"):
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'beta' or 'layers'")
+    cells = []
+    for value in values if values is not None else (SWEEP_BETAS if axis == "beta" else DEPTH_SWEEP):
+        if axis == "beta":
+            cfg = replace(base, augment=replace(base.augment, kind="if_mixup", beta=value))
+            label = f"beta({value.alpha:g},{value.beta:g})"
+        else:
+            cfg, label = replace(base, model=replace(base.model, k=value)), f"K={value}"
+        cells.append(SweepCell(label, cfg, cross_validate(ds, cfg, log_fn)))
     return cells
 
 

@@ -148,6 +148,11 @@ class TestDropNode:
         with pytest.raises(ValueError, match="empty graph"):
             m.drop_node(g, 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("ratio", [float("nan"), -0.1])
+    def test_ratio_below_zero_or_nan_named(self, ratio):
+        with pytest.raises(ValueError, match=f"drop ratio must be nonnegative, got {ratio}"):
+            m.drop_node(path5(), ratio, np.random.default_rng(0))
+
     def test_outputs_validate(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -324,6 +324,14 @@ class TestTrain:
         assert run_command(["train", config]) == 1
         assert "unknown dataset keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_diverging_loss_is_an_error_line(self, tmp_path, capsys, command):
+        config = tiny_config(tmp_path, lr0=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_command([command, config]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and "non-finite training loss nan at epoch 0" in errors[0]
+
 
 class TestCvAndSweep:
     def test_cv_writes_summary(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from ifmixup.models import (
     head_logits,
     head_logits_layer_block,
     pack_graphs,
+    readout_rows,
     wrap_params,
 )
 
@@ -152,7 +153,8 @@ class TestPackGraphs:
         params = m.init_params(cfg, 3, 2, np.random.default_rng(31))
         wrapped = wrap_params(params, requires_grad=False)
         graphs = self.graphs()
-        embeddings, _, h_graph = embed_batch(graphs, wrapped, params)
+        embeddings, pooled = embed_batch(graphs, wrapped, params)
+        h_graph = readout_rows(pooled, params.config)
         logits = head_logits(h_graph, wrapped)
         start = 0
         for i, g in enumerate(graphs):

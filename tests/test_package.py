@@ -178,6 +178,31 @@ def test_training_embeds_in_the_step_and_in_evaluate_only():
     assert sites == ["batch_gradients", "evaluate"]
 
 
+def test_one_stream_loop_and_one_fold_split():
+    """build_epoch_stream walks its pair draw in one for statement for every
+    kind, and in the package source only fold_splits calls stratified_folds."""
+    source = os.path.dirname(m.__file__)
+    loops, callers = [], []
+
+    def visit(node, filename, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.For):
+                loops.append((filename, scope))
+            elif isinstance(child, ast.Call) and "stratified_folds" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                callers.append((filename, scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, filename, child.name if named else scope)
+
+    for filename in sorted(os.listdir(source)):
+        if filename.endswith(".py"):
+            with open(os.path.join(source, filename), encoding="utf-8") as fh:
+                visit(ast.parse(fh.read(), filename), filename, None)
+    assert loops.count(("training.py", "build_epoch_stream")) == 1
+    assert callers == [("training.py", "fold_splits")]
+
+
 CONFIGS = (m.ModelConfig, m.AugmentSpec, m.BetaParams, m.TrainConfig, ifmixup.cli._DatasetBlock)
 
 

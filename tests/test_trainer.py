@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ifmixup as m
+import ifmixup.models
 import ifmixup.training
 from ifmixup.autodiff import Tensor, concat, constant
 from ifmixup.models import (
@@ -22,6 +23,7 @@ from ifmixup.models import (
     embed_batch,
     head_logits,
     head_logits_layer_block,
+    readout_rows,
     wrap_params,
 )
 from ifmixup.training import EVAL_ROWS, EpochSample, batch_gradients, build_epoch_stream
@@ -110,7 +112,7 @@ def readout_gradients(batch, params, rng):
     """The step of an all-plain batch read straight off the readout: the
     packed forward's ``h_graph``, then head, dropout and cross-entropy."""
     wrapped = wrap_params(params, requires_grad=True)
-    h_graph = embed_batch([s.g for s in batch], wrapped, params)[2]
+    h_graph = readout_rows(embed_batch([s.g for s in batch], wrapped, params)[1], params.config)
     logits = apply_dropout(head_logits(h_graph, wrapped), params.config.dropout, training=True, rng=rng)
     loss = cross_entropy_t([s.y for s in batch], logits).scale(1.0 / len(batch))
     loss.backward()
@@ -451,6 +453,63 @@ class TestEpochStream:
         assert [layer for *_, layer in draws] == layers
         assert rng.random() == next_draw
 
+    PLAIN_PINNED = {  # A side per sample, (nodes, edges) per sample graph, the rng's next draw
+        ("none", 3): (
+            [6, 7, 2, 1, 4, 5, 3, 0],
+            [(4, 0), (9, 12), (2, 0), (5, 3), (3, 2), (6, 5), (7, 7), (1, 0)],
+            0.4331269402364738,
+        ),
+        ("none", 7): (
+            [0, 6, 7, 2, 4, 5, 1, 3],
+            [(1, 0), (4, 0), (9, 12), (2, 0), (3, 2), (6, 5), (5, 3), (7, 7)],
+            0.30016628491122543,
+        ),
+        ("drop_edge", 3): (
+            [6, 7, 2, 1, 4, 5, 3, 0],
+            [(4, 0), (9, 8), (2, 0), (5, 2), (3, 2), (6, 3), (7, 5), (1, 0)],
+            0.4306280204141778,
+        ),
+        ("drop_edge", 7): (
+            [0, 6, 7, 2, 4, 5, 1, 3],
+            [(1, 0), (4, 0), (9, 8), (2, 0), (3, 2), (6, 3), (5, 2), (7, 5)],
+            0.2784256121007733,
+        ),
+        ("drop_node", 3): (
+            [6, 7, 2, 1, 4, 5, 3, 0],
+            [(3, 0), (6, 4), (2, 0), (3, 1), (2, 1), (4, 1), (5, 7), (1, 0)],
+            0.5867985714381407,
+        ),
+        ("drop_node", 7): (
+            [0, 6, 7, 2, 4, 5, 1, 3],
+            [(1, 0), (3, 0), (6, 5), (2, 0), (2, 1), (4, 3), (3, 1), (5, 4)],
+            0.2548695876541246,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind,seed", list(PLAIN_PINNED))
+    def test_plain_draws_are_pinned(self, monkeypatch, kind, seed):
+        # the plain kinds keep each pair's A side, in the order of the pair draw
+        items = uneven_items()
+        index = {id(g): i for i, (g, _) in enumerate(items)}
+        sides = []
+        for name in ("drop_edge", "drop_node"):
+            drop = getattr(ifmixup.training, name)
+
+            def drop_recorded(g, ratio, rng, drop=drop):
+                sides.append(index[id(g)])
+                return drop(g, ratio, rng)
+
+            monkeypatch.setattr(ifmixup.training, name, drop_recorded)
+        cfg = m.TrainConfig(augment=m.AugmentSpec(kind=kind, ratio=0.4))
+        rng = np.random.default_rng(seed)
+        stream = build_epoch_stream(items, cfg, rng)
+        if kind == "none":
+            sides = [index[id(s.g)] for s in stream]
+        assert all(s.pair is None and s.y is items[a][1] for s, a in zip(stream, sides))
+        assert (sides, [(s.g.n, int(np.count_nonzero(s.g.e)) // 2) for s in stream], rng.random()) == (
+            self.PLAIN_PINNED[kind, seed]
+        )
+
     def test_deterministic_given_rng(self, tiny_dataset):
         cfg = self.spec("if_mixup", beta=m.BetaParams(2, 2))
         s1 = build_epoch_stream(tiny_dataset.items, cfg, np.random.default_rng(8))
@@ -765,6 +824,23 @@ class TestOneForwardPerBatch:
             assert [id(g) for g in embed_calls[-1]] == [id(g) for g in expected]
         assert len(embed_calls) == len(stream) // batch_size
 
+    @pytest.mark.parametrize("kind", ["none", "mixup_graph", "manifold_mixup"])
+    def test_gin_step_builds_no_readout_concat(self, monkeypatch, tiny_dataset, kind):
+        # the step mixes the pooled rows itself, so a GIN readout concat would be a dead tape node
+        calls = []
+        concat = ifmixup.models.concat
+        monkeypatch.setattr(ifmixup.models, "concat", lambda *a, **kw: calls.append(a) or concat(*a, **kw))
+        cfg = m.TrainConfig(
+            model=m.ModelConfig(arch="gin", k=3, hidden=4),
+            augment=m.AugmentSpec(kind=kind, beta=m.BetaParams(2, 2)),
+        )
+        params = m.init_params(cfg.model, tiny_dataset.feature_dim, 2, np.random.default_rng(63))
+        stream = build_epoch_stream(tiny_dataset.items, cfg, np.random.default_rng(64))
+        batch_gradients(stream[:4], params, np.random.default_rng(65))
+        assert calls == []
+        m.evaluate(params, tiny_dataset.items[:4])  # the readout still concatenates
+        assert len(calls) == 1
+
 
 @pytest.fixture
 def frozen_gradients(monkeypatch):
@@ -1002,6 +1078,35 @@ class TestCrossValidate:
         b = m.cross_validate(tiny_dataset, self.config())
         assert a.fold_acc == b.fold_acc and a.mean == b.mean
 
+    PINNED = {  # fold_acc, mean, std
+        "none": ([0.5, 1.0, 0.5, 1.0, 0.75, 0.75], 0.75, 0.08333333333333337),
+        "drop_node": ([0.5, 0.75, 0.5, 1.0, 0.75, 1.0], 0.75, 0.16666666666666663),
+        "if_mixup": ([0.5, 0.25, 0.75, 0.25, 1.0, 0.5], 0.5416666666666667, 0.041666666666666685),
+        "manifold_mixup": ([0.5, 1.0, 0.5, 1.0, 0.75, 0.5], 0.7083333333333333, 0.041666666666666685),
+    }
+
+    @pytest.mark.parametrize("kind", list(PINNED))
+    def test_summaries_are_pinned(self, tiny_dataset, kind):
+        cfg = m.TrainConfig(
+            model=m.ModelConfig(arch="gin", k=2, hidden=8),
+            augment=m.AugmentSpec(kind=kind, ratio=0.2, beta=m.BetaParams(2, 2)),
+            lr0=0.05,
+            epochs=4,
+            batch_size=4,
+            folds=3,
+            runs=2,
+            seed=5,
+        )
+        log = m.cross_validate(tiny_dataset, cfg)
+        assert (log.fold_acc, log.mean, log.std) == self.PINNED[kind]
+
+    def test_each_fold_validates_alone_and_trains_on_the_rest(self, tiny_dataset):
+        splits = ifmixup.training.fold_splits(tiny_dataset, self.config())
+        folds = m.stratified_folds([y.argmax() for y in tiny_dataset.labels()], 3, np.random.default_rng(5))
+        for f, (train_items, val_items) in enumerate(splits):
+            assert val_items == [tiny_dataset.items[i] for i in folds[f]]
+            assert train_items == [tiny_dataset.items[i] for j, fold in enumerate(folds) if j != f for i in fold]
+
 
 class TestSweep:
     def base(self):
@@ -1026,6 +1131,15 @@ class TestSweep:
         cells = m.sweep(tiny_dataset, self.base(), "layers", values=(1, 2))
         assert [c.label for c in cells] == ["K=1", "K=2"]
         assert [c.config.model.k for c in cells] == [1, 2]
+
+    @pytest.mark.parametrize("k", [2.5, True], ids=["float", "bool"])
+    def test_layers_axis_refuses_a_depth_it_cannot_train(self, tiny_dataset, k):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            m.sweep(tiny_dataset, self.base(), "layers", values=(k,))
+
+    def test_layers_axis_takes_numpy_integers(self, tiny_dataset):
+        cells = m.sweep(tiny_dataset, self.base(), "layers", values=(np.int64(2),))
+        assert [(c.label, c.config.model.k) for c in cells] == [("K=2", 2)]
 
     def test_default_beta_values_are_the_sweep_grid(self, tiny_dataset, monkeypatch):
         # only check the labels; running 5 cells x CV is acceptance-scale
