@@ -130,8 +130,8 @@ class FeatureBasis:
 
     On a basis from ``feature_vocabulary``, ``coeffs`` and ``t_set`` are
     built on their first read and then kept; either can still be assigned.
-    Replace ``t_set`` by assignment, which drops the per-size members
-    (``_members_at``): an in-place edit of the list is not seen by them.
+    Decoders keep projectors of ``vocabulary``, ``basis`` and ``t_set`` until that field is
+    assigned (an in-place edit goes unseen); a ``dataclasses.replace`` copy starts with none.
     """
 
     vocabulary: np.ndarray
@@ -160,29 +160,30 @@ class FeatureBasis:
         n_max = max(t.shape[0] for t in self.t_set)
         if len(self.t_set) > n_max * self.rank:
             return False
-        members, rank, _ = self._members_at(n_max)
+        members, (_, rank) = self._members_at(n_max)
         return rank == len(members)
 
     def __setattr__(self, name: str, value) -> None:
-        if name == "t_set":  # the per-size members are read off the old one
-            self.__dict__.pop("_by_size", None)
+        self.__dict__.get("_read_off", {}).pop(name, None)  # what was read off the old value
         object.__setattr__(self, name, value)
 
-    def _members_at(self, n: int) -> tuple[np.ndarray, int, np.ndarray] | None:
-        """The ``t_set`` members of at most n rows, padded to n and stacked
-        (|T_n| x n x rank), the rank of their flattened rows, and the
-        projector P (n*rank x |T_n|) with ``x @ P`` the coefficients of a
-        flattened x over them, or None when none fits; from one
-        ``_solve_rows`` call on the first read at n, then kept."""
-        by_size = self.__dict__.setdefault("_by_size", {})
+    def _projector(self, name: str) -> tuple[np.ndarray, int]:
+        """``_row_projector`` of field ``name``, "vocabulary" or "basis", from its first read."""
+        read_off = self.__dict__.setdefault("_read_off", {})
+        if name not in read_off:
+            read_off[name] = _row_projector(getattr(self, name))
+        return read_off[name]
+
+    def _members_at(self, n: int) -> tuple[np.ndarray, tuple[np.ndarray, int]] | None:
+        """The ``t_set`` members of at most n rows, padded to n and stacked (|T_n| x n x rank),
+        and ``_row_projector`` of their flattened rows, or None when none fits; from the first read."""
+        by_size = self.__dict__.setdefault("_read_off", {}).setdefault("t_set", {})
         if n not in by_size:
             fit = [_pad_rows(t, n) for t in self.t_set if t.shape[0] <= n]
             by_size[n] = None
             if fit:
                 members = np.stack(fit)
-                flat = members.reshape(len(fit), -1)
-                projector, rank = _solve_rows(flat, np.eye(flat.shape[1]))
-                by_size[n] = (members, rank, projector)
+                by_size[n] = (members, _row_projector(members.reshape(len(fit), -1)))
         return by_size[n]
 
 
@@ -278,6 +279,11 @@ def _solve_rows(rows: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
     back as 0.0."""
     x, _, _, singular = np.linalg.lstsq(rows.T, target.T, rcond=None)
     return x.T + 0.0, int(np.count_nonzero(singular > RANK_TOL))
+
+
+def _row_projector(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """P with ``x @ P`` the coefficients of x over ``rows``, and their rank: ``_solve_rows`` of the identity."""
+    return _solve_rows(rows, np.eye(rows.shape[1]))
 
 
 def check_linear_independence(rows: np.ndarray | list[np.ndarray]) -> tuple[bool, int]:

@@ -20,11 +20,11 @@ has exactly two solutions, mirror images under (s, e, e') -> (1-s, e', e):
   independent. The mixed coefficient matrix, projected onto B, has a unique
   coefficient vector over the members that fit its size.
 
-Each solve is one call of ``graphs._solve_rows``, the package's one solver,
-whose singular values also prove the rows independent, as they do in
-``check_linear_independence``; basis mode solves the members once per mix
-size, for a projector. ``recovery_mode`` says which mode a dataset admits,
-if either. The coefficients give the ratio when the edges leave it open.
+Each solve is the product with a projector from one ``graphs._solve_rows``
+call, whose singular values also prove the rows independent; a FeatureBasis
+keeps those of V, B and its members per mix size. ``recovery_mode`` says
+which mode a dataset admits. The coefficients give the ratio when the edges
+leave it open.
 
 A dummy node is a trailing node whose features, edge row and edge column are
 exactly zero (-0.0 counts as zero). ``recover_pair`` strips them with
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import FeatureBasis, GraphDataset, NodeFeaturedGraph, _solve_rows
+from .graphs import FeatureBasis, GraphDataset, NodeFeaturedGraph, _row_projector
 from .graphs import _symmetry_violations
 from .mixing import MAX_REDRAWS, BetaParams, mix_labels, mix_pair, sample_lambda
 
@@ -248,50 +248,45 @@ _OFF_SPAN = "mixed features leave SPAN(V)"
 _NO_PAIR = "no training coefficient pair reproduces the mixed features"
 
 
-def _unique_coefficients(target: np.ndarray, rows: np.ndarray, what: str, misfit: str) -> np.ndarray:
-    """``_proven_unique`` of one ``graphs._solve_rows`` call, the solver of every rank verdict."""
-    return _proven_unique(*_solve_rows(rows, target), target, rows, what, misfit)
-
-
-def _proven_unique(coeff, rank: int, target: np.ndarray, rows: np.ndarray, what: str, misfit: str):
-    """The coefficients C with C @ rows = target, given with the rank of ``rows``, proven unique.
-
-    The rows are independent exactly when that rank equals their count, so
-    more rows than columns always fall short, and an empty set is
-    independent. Raises RecoveryError naming ``what`` when they are not, and
-    ``misfit`` when target leaves their span.
-    """
+def _proven_unique(target: np.ndarray, rows: np.ndarray, solved, what: str, misfit: str) -> np.ndarray:
+    """C = target @ P with C @ rows = target, proven unique, given ``solved``,
+    the rows' projector P and rank (``graphs._row_projector``): RecoveryError
+    names ``what`` when that rank falls short of the row count (an empty set
+    is independent), and ``misfit`` when target leaves the rows' span."""
+    projector, rank = solved
     if rank < rows.shape[0]:
         raise RecoveryError(f"{what} is not linearly independent")
+    coeff = target @ projector
     residual = np.max(np.abs(coeff @ rows - target), initial=0.0)
     if residual > DEFAULT_TOL:
         raise RecoveryError(f"{misfit}: residual {residual:.3e}")
     return coeff
 
 
-def _feature_coefficients(v_mixed: np.ndarray, over: np.ndarray | FeatureBasis):
+def _feature_coefficients(v_mixed: np.ndarray, over: np.ndarray | FeatureBasis, independent: bool):
     """The mixed features' unique coefficients and the reader of the sources'
-    features from their split: rows of V* (V plus the zero row) over a
-    vocabulary V, by one solve, or T @ B for the pair (T, T') over a
-    FeatureBasis's members that fit in the mix, the only ones that must be
-    independent for the row to be unique, by a solve onto B and the product
-    with those members' projector (``FeatureBasis._members_at``). Only the
-    FeatureBasis form reads ``t_set``, replaced by assignment, as the
-    projector does not see an in-place edit; neither form reads ``coeffs``."""
+    features from their split: rows of V* (V plus the zero row) over V,
+    ``over`` or its ``vocabulary``, when ``independent``; else T @ B for the
+    pair (T, T') over the FeatureBasis members that fit the mix (only they
+    must be independent), after a projection onto its basis B. A bare V is
+    solved per call; neither form reads ``coeffs``."""
     v_mixed = np.atleast_2d(np.asarray(v_mixed, dtype=np.float64))
     _require_finite(v_mixed, "mixed node feature")
-    if not isinstance(over, FeatureBasis):
-        vocabulary = np.atleast_2d(np.asarray(over, dtype=np.float64))
-        coeff = _unique_coefficients(v_mixed, vocabulary, "feature vocabulary", _OFF_SPAN)
+    if independent:
+        bare = not isinstance(over, FeatureBasis)
+        vocabulary = np.atleast_2d(np.asarray(over, dtype=np.float64)) if bare else over.vocabulary
+        solved = _row_projector(vocabulary) if bare else over._projector("vocabulary")
+        coeff = _proven_unique(v_mixed, vocabulary, solved, "feature vocabulary", _OFF_SPAN)
         vocabulary_star = np.concatenate([vocabulary, np.zeros((1, vocabulary.shape[1]))])
         return coeff, lambda ia, ib: (vocabulary_star[ia], vocabulary_star[ib])
-    t_mixed = _unique_coefficients(v_mixed, over.basis, "span basis", _OFF_SPAN).reshape(1, -1)
+    t_mixed = _proven_unique(v_mixed, over.basis, over._projector("basis"), "span basis", _OFF_SPAN)
+    t_mixed = t_mixed.reshape(1, -1)
     fit = over._members_at(v_mixed.shape[0])
     if fit is None:
         raise RecoveryError(_NO_PAIR)
-    members, rank, projector = fit
+    members, solved = fit
     flat = members.reshape(len(members), -1)
-    coeff = _proven_unique(t_mixed @ projector, rank, t_mixed, flat, "coefficient collection", _NO_PAIR)
+    coeff = _proven_unique(t_mixed, flat, solved, "coefficient collection", _NO_PAIR)
 
     def sources(ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if ia[0] < 0 or ib[0] < 0:
@@ -302,15 +297,14 @@ def _feature_coefficients(v_mixed: np.ndarray, over: np.ndarray | FeatureBasis):
 
 
 def recover_features_independent(
-    v_mixed: np.ndarray, s: float, vocabulary: np.ndarray
+    v_mixed: np.ndarray, s: float, vocabulary: np.ndarray | FeatureBasis
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode v_mixed = s*v + (1-s)*v' when the vocabulary is independent.
+    """Decode v_mixed = s*v + (1-s)*v' when the vocabulary V, bare or a FeatureBasis's, is independent.
 
-    Every row of v and v' must lie in the vocabulary extended with the zero
-    row. Raises RecoveryError when the vocabulary is dependent or some row
-    admits no such decomposition.
+    Every row of v and v' must lie in V extended with the zero row. Raises
+    RecoveryError when V is dependent or some row admits no such decomposition.
     """
-    coeff, sources = _feature_coefficients(v_mixed, vocabulary)
+    coeff, sources = _feature_coefficients(v_mixed, vocabulary, independent=True)
     return sources(*_split_coefficients(coeff, s))
 
 
@@ -323,7 +317,7 @@ def recover_features_basis(
     coefficient matrix, solves for its unique coefficients over the training
     matrices that fit it, and reads the source pair (T, T') off them.
     """
-    coeff, sources = _feature_coefficients(v_mixed, basis)
+    coeff, sources = _feature_coefficients(v_mixed, basis, independent=False)
     return sources(*_split_coefficients(coeff, s))
 
 
@@ -350,9 +344,9 @@ def recover_pair(
         raise ValueError(f"unknown recovery mode {mode!r}")
 
     sol = edge_solutions(g_mixed.e).solutions[0]  # canonical: s < 0.5
-    s, over = sol.s, (basis.vocabulary if mode == "independent" else basis)
+    s = sol.s
     if s is None:  # binary mixed edges: one solve gives the ratio, then the split
-        coeff, sources = _feature_coefficients(g_mixed.v, over)
+        coeff, sources = _feature_coefficients(g_mixed.v, basis, mode == "independent")
         s = _mixing_ratio(coeff.ravel(), "feature coefficient")
         if s is None:
             ga = NodeFeaturedGraph(g_mixed.v.copy(), sol.e)
@@ -361,7 +355,7 @@ def recover_pair(
         va, vb = sources(*_split_coefficients(coeff, s))
     else:  # by the public names, which the benchmark's spans rebind
         decode = recover_features_independent if mode == "independent" else recover_features_basis
-        va, vb = decode(g_mixed.v, s, over)
+        va, vb = decode(g_mixed.v, s, basis)
     ga = NodeFeaturedGraph(va, sol.e)
     gb = NodeFeaturedGraph(vb, sol.e_prime)
 

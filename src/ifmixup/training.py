@@ -386,7 +386,8 @@ def train_single(
         loss_sum = 0.0
         for start in range(0, len(stream), cfg.batch_size):
             batch = stream[start : start + cfg.batch_size]
-            loss, grads = batch_gradients(batch, params, rng)
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverging step raises below, by name
+                loss, grads = batch_gradients(batch, params, rng)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(loss, epoch, start // cfg.batch_size)
             adamw_step(params.tensors, grads, state, lr, cfg.weight_decay)
@@ -475,18 +476,18 @@ def sweep(
 ) -> list[SweepCell]:
     """Cross-validate along one axis: if_mixup's Beta parameters or model depth
     (``SWEEP_BETAS`` or ``DEPTH_SWEEP`` by default). Each value enters the
-    config as given, so its rule refuses a depth that is not an integer."""
+    config as given, so its rule refuses a depth that is not an integer;
+    every config is built before the first cross-validation."""
     if axis not in ("beta", "layers"):
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'beta' or 'layers'")
-    cells = []
+    grid = []
     for value in values if values is not None else (SWEEP_BETAS if axis == "beta" else DEPTH_SWEEP):
         if axis == "beta":
             cfg = replace(base, augment=replace(base.augment, kind="if_mixup", beta=value))
-            label = f"beta({value.alpha:g},{value.beta:g})"
+            grid.append((f"beta({value.alpha:g},{value.beta:g})", cfg))
         else:
-            cfg, label = replace(base, model=replace(base.model, k=value)), f"K={value}"
-        cells.append(SweepCell(label, cfg, cross_validate(ds, cfg, log_fn)))
-    return cells
+            grid.append((f"K={value}", replace(base, model=replace(base.model, k=value))))
+    return [SweepCell(label, cfg, cross_validate(ds, cfg, log_fn)) for label, cfg in grid]
 
 
 # -- serialization -------------------------------------------------------------------

@@ -332,6 +332,18 @@ class TestTrain:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and "non-finite training loss nan at epoch 0" in errors[0]
 
+    @pytest.mark.parametrize(
+        "command", [["train"], ["cv"], ["sweep", "--axis", "layers"]], ids=["train", "cv", "sweep"]
+    )
+    def test_diverging_loss_writes_only_the_error_line(self, tmp_path, command):
+        # a fresh interpreter keeps Python's default warning filters, under
+        # which numpy's overflow warnings would reach stderr
+        config = tiny_config(tmp_path, lr0=1e200)
+        argv = [sys.executable, "-m", "ifmixup", command[0], config, *command[1:]]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=source_env())
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: non-finite training loss nan at epoch 0, batch 1"]
+
 
 class TestCvAndSweep:
     def test_cv_writes_summary(self, tmp_path, capsys):

@@ -289,6 +289,13 @@ def near_singular_vocabulary(
     return (u * s) @ w[:k]
 
 
+def count_solves(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes of the rows of every ``graphs._solve_rows`` call from here on."""
+    solves, solve = [], m.graphs._solve_rows
+    monkeypatch.setattr(m.graphs, "_solve_rows", lambda rows, t: solves.append(rows.shape) or solve(rows, t))
+    return solves
+
+
 def hand_basis() -> m.FeatureBasis:
     """n=1 coefficient matrices over a 2-row basis of 3-dim features."""
     basis = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -346,16 +353,14 @@ class TestRecoverFeaturesBasis:
             m.recover_features_basis(np.array([[0.7, 0.7, 0.3]]), 0.7, fb)
 
     def test_members_solved_once_per_size(self, monkeypatch):
-        # recovery binds its own _solve_rows name, so only the members'
-        # projector is counted here, not the projection onto the basis
+        # every projector is built by graphs._solve_rows, B's on the first decode
         fb = hand_basis()
-        solves, solve = [], m.graphs._solve_rows
-        monkeypatch.setattr(m.graphs, "_solve_rows", lambda rows, t: solves.append(rows.shape) or solve(rows, t))
+        solves = count_solves(monkeypatch)
         one_row, two_rows = np.array([[0.7, 0.7, 0.3]]), np.array([[0.7, 0.7, 0.3], [0.0, 0.0, 0.0]])
         for v_mixed in (one_row, one_row, two_rows, two_rows):
             v, vp = m.recover_features_basis(v_mixed, 0.7, fb)
             assert np.array_equal(v[0], [1, 1, 0]) and np.array_equal(vp[0], [0, 0, 1])
-        assert solves == [(2, 2), (2, 4)]  # two members flattened at n = 1, then at n = 2
+        assert solves == [(2, 3), (2, 2), (2, 4)]  # B, then two members flattened at n = 1 and at n = 2
 
     def test_assigned_t_set_drops_decoded_members(self):
         fb = hand_basis()
@@ -419,6 +424,118 @@ class TestRecoverFeaturesBasis:
         mixed = 0.5 * fb.basis[0] + 0.5 * fb.basis[1]
         with pytest.raises(RecoveryError, match="0.5"):
             m.recover_features_basis(mixed.reshape(1, -1), 0.5, fb)
+
+
+def conditioned_instance(rng: np.random.Generator) -> tuple[m.GraphDataset, list[float]]:
+    """Eight graphs of 1-5 nodes over a random integer vocabulary of 2-4 rows
+    with condition number below 20; half of the graphs are edgeless, so that
+    mixes of two of them take their ratio from the features. Returns the set
+    and the mixing ratios to try."""
+    k = int(rng.integers(2, 5))
+    d = k + int(rng.integers(0, 3))
+    vocabulary = rng.integers(-2, 3, size=(k, d)).astype(float)
+    while len(np.unique(vocabulary, axis=0)) < k or np.linalg.cond(vocabulary) > 20:
+        vocabulary = rng.integers(-2, 3, size=(k, d)).astype(float)
+    items = []
+    for i in range(8):
+        n = int(rng.integers(1, 6))
+        e = rand_one_hot_graph(rng, n, d).e if i % 2 else np.zeros((n, n))
+        g = m.NodeFeaturedGraph(vocabulary[rng.integers(k, size=n)], e)
+        items.append((g, m.LabelDistribution.one_hot(i % 2, 2)))
+    return m.GraphDataset(items, 2, d, "COND"), rng.uniform(0.05, 0.95, 6).tolist()
+
+
+def lstsq_reference(g_mixed: m.NodeFeaturedGraph, vocabulary: np.ndarray):
+    """The independent-mode decode with one least-squares solve per call:
+    the ratio and both sources' feature rows, or None for identical sources."""
+    sol = m.edge_solutions(g_mixed.e).solutions[0]
+    coeff, rank = m.graphs._solve_rows(vocabulary, g_mixed.v)
+    assert rank == len(vocabulary)
+    s = sol.s if sol.s is not None else ifmixup.recovery._mixing_ratio(coeff.ravel(), "coefficient")
+    if s is None:
+        return None
+    ia, ib = ifmixup.recovery._split_coefficients(coeff, s)
+    vocabulary_star = np.vstack([vocabulary, np.zeros((1, vocabulary.shape[1]))])
+    return s, vocabulary_star[ia], vocabulary_star[ib]
+
+
+class TestProjectors:
+    def test_vocabulary_solved_once_per_basis(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a, b = rand_one_hot_graph(rng, 3, 4), rand_one_hot_graph(rng, 5, 4)
+        fb = two_graph_basis(a, b)
+        solves = count_solves(monkeypatch)
+        for lam in (0.2, 0.3, 0.8):
+            assert m.recover_pair(m.mix_pair(a, b, lam), fb).matches(a, b, lam)
+            m.recover_features_independent(np.eye(4)[:2], 1.0 - lam, fb)
+        assert solves == [fb.vocabulary.shape]
+
+    def test_bare_vocabulary_solved_per_call(self, monkeypatch):
+        solves = count_solves(monkeypatch)
+        for _ in range(3):
+            m.recover_features_independent(np.array([[0.7, 0.3, 0.0]]), 0.7, ONE_HOTS_3)
+        assert solves == [(3, 3)] * 3
+
+    def test_assigned_vocabulary_drops_its_projector(self):
+        fb = hand_basis()
+        fb.vocabulary = np.eye(3)
+        v, vp = m.recover_features_independent(np.array([[0.7, 0.3, 0.0]]), 0.7, fb)
+        assert np.array_equal(v, [[1, 0, 0]]) and np.array_equal(vp, [[0, 1, 0]])
+        fb.vocabulary = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        with pytest.raises(RecoveryError, match="feature vocabulary is not linearly independent"):
+            m.recover_features_independent(np.array([[0.7, 0.0, 0.0]]), 0.7, fb)
+        fb.vocabulary = np.eye(3)[:2]
+        with pytest.raises(RecoveryError, match="leave SPAN"):
+            m.recover_features_independent(np.array([[0.0, 0.3, 0.7]]), 0.7, fb)
+
+    def test_assigned_basis_drops_its_projector(self):
+        fb = hand_basis()
+        mixed = np.array([[0.7, 0.7, 0.3]])
+        m.recover_features_basis(mixed, 0.7, fb)
+        fb.basis = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(RecoveryError, match="leave SPAN"):
+            m.recover_features_basis(mixed, 0.7, fb)
+        fb.basis = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+        with pytest.raises(RecoveryError, match="span basis is not linearly independent"):
+            m.recover_features_basis(mixed, 0.7, fb)
+
+    @pytest.mark.parametrize("field", ["vocabulary", "basis"])
+    def test_replaced_basis_solves_its_own_projector(self, monkeypatch, field):
+        fb = hand_basis()
+        mixed = np.array([[0.7, 0.7, 0.3]])
+        decode = m.recover_features_independent if field == "vocabulary" else m.recover_features_basis
+        decode(mixed, 0.7, fb)
+        solves = count_solves(monkeypatch)
+        dependent = dataclasses.replace(fb, **{field: np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])})
+        with pytest.raises(RecoveryError, match="not linearly independent"):
+            decode(mixed, 0.7, dependent)
+        assert solves == [(2, 3)]
+        v, vp = decode(mixed, 0.7, fb)  # the original keeps its own
+        assert np.allclose(v, [[1, 1, 0]]) and np.allclose(vp, [[0, 0, 1]]) and solves == [(2, 3)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_decodes_match_a_solve_per_call(self, seed):
+        rng = np.random.default_rng(seed)
+        ds, ratios = conditioned_instance(rng)
+        fb = m.feature_vocabulary(ds)
+        assert fb.vocabulary_independent()
+        decoded = 0
+        for (ga, _), (gb, _) in itertools.product(ds.items, repeat=2):
+            for lam in ratios:
+                mixed = m.mix_pair(ga, gb, lam)
+                reference = lstsq_reference(mixed, fb.vocabulary)
+                rec = m.recover_pair(mixed, fb)
+                if reference is None:
+                    assert rec.lam is None and rec.sources_identical
+                    continue
+                s, va, vb = reference
+                assert abs(rec.lam - s) <= 1e-12
+                got_a, got_b = m.recover_features_independent(mixed.v, s, fb)
+                assert got_a.tobytes() == va.tobytes() and got_b.tobytes() == vb.tobytes()
+                assert rec.graph_a.v.tobytes() == va[: rec.graph_a.n].tobytes()
+                assert rec.graph_b.v.tobytes() == vb[: rec.graph_b.n].tobytes()
+                decoded += 1
+        assert decoded > 0
 
 
 def pad_to(t: np.ndarray, n: int) -> np.ndarray:
@@ -508,7 +625,7 @@ class TestBasisModeAgainstSearch:
             for s in self.RATIOS:
                 v_mixed = (s * pad_to(ta, n) + (1.0 - s) * pad_to(tb, n)) @ fb.basis
                 pair, va, vb = reference_basis_decode(v_mixed, s, fb)
-                coeff, _ = ifmixup.recovery._feature_coefficients(v_mixed, fb)
+                coeff, _ = ifmixup.recovery._feature_coefficients(v_mixed, fb, independent=False)
                 ia, ib = ifmixup.recovery._split_coefficients(coeff, s)
                 assert (ia[0], ib[0]) == pair
                 got_a, got_b = m.recover_features_basis(v_mixed, s, fb)

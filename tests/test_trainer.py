@@ -1137,6 +1137,13 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
             m.sweep(tiny_dataset, self.base(), "layers", values=(k,))
 
+    def test_bad_grid_refused_before_any_cv(self, tiny_dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ifmixup.training, "cross_validate", lambda ds, cfg, log_fn: calls.append(cfg))
+        with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.5$"):
+            m.sweep(tiny_dataset, self.base(), "layers", values=(2, 3, 2.5))
+        assert calls == []
+
     def test_layers_axis_takes_numpy_integers(self, tiny_dataset):
         cells = m.sweep(tiny_dataset, self.base(), "layers", values=(np.int64(2),))
         assert [(c.label, c.config.model.k) for c in cells] == [("K=2", 2)]
