@@ -317,6 +317,10 @@ def coefficients_in_basis(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
 # calls cost little next to the work on the rows.
 _DEDUP_BLOCK_ROWS = 1024
 
+# The dedup pass keeps a key table (8 slots per distinct row) while there are
+# at most this many distinct rows, so refilling it stays cheap.
+_KEYED_ROWS = 1024
+
 # Added to a row's hash once per level of the dedup pass (an odd 64-bit
 # constant, so the levels of one hash walk through every slot).
 _LEVEL_STEP = 0x9E3779B97F4A7C15
@@ -332,7 +336,14 @@ def _row_hashes(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     folded = bits >> np.uint64(32)
     folded ^= bits
-    return folded @ weights
+    return np.einsum("ij,j->i", folded, weights)  # faster than @ on integers
+
+
+def _row_keys(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """A key of each row of a float matrix: the bits of its dot product with
+    ``probe`` (-0.0 as 0.0), times an odd constant mod 2**64."""
+    with np.errstate(invalid="ignore", over="ignore"):  # a row with inf or huge entries keys as inf or NaN
+        return (rows @ probe + 0.0).view(np.uint64) * np.uint64(_LEVEL_STEP)
 
 
 def _distinct_rows(
@@ -350,15 +361,25 @@ def _distinct_rows(
     equals it, tries level L + 1 if not, and becomes the slot's distinct row
     if the slot is empty. Equal rows walk the same slots, so a hash clash
     costs a level and can neither merge two rows nor split one.
+
+    Up to ``_KEYED_ROWS`` distinct rows, a cheaper pick comes first: the
+    top bits of a row's key (``_row_keys``) name a slot holding the id of a
+    distinct row keyed there, and a row equal to it as floats (-0.0 equals
+    0.0, NaN equals nothing) takes that id. Only the others are hashed, so
+    rounding in a key or a shared slot costs time, never a wrong id.
     """
     ids = np.empty(int(ends[-1]), dtype=np.intp)
     weights = np.random.default_rng(0).integers(2**63, size=width, dtype=np.uint64) * 2 + 1
+    probe = np.random.default_rng(0).standard_normal(width)
     table_bits = max(1, 2 * len(ids)).bit_length()  # at least twice as many slots as rows
     table = np.full(1 << table_bits, -1, dtype=np.intp)  # slot -> distinct row, -1 when empty
+    shift = np.uint64(64 - table_bits)
     largest = int(np.max(np.diff(ends, prepend=0)))
     block_buffer = np.empty((max(_DEDUP_BLOCK_ROWS, largest), width))
     found = np.empty((0, width), dtype=np.uint64)  # bits of the distinct rows, the first `count` set
     count = 0
+    key_shift = np.uint64(64 - (8 * _KEYED_ROWS - 1).bit_length())
+    key_table = None  # slot -> id of a distinct row whose key went there (0 when none did)
     start = 0
     while start < len(graphs):
         offset = int(ends[start - 1]) if start else 0
@@ -366,14 +387,20 @@ def _distinct_rows(
         stop = max(stop, start + 1)  # a graph of more rows is a block of its own
         block = block_buffer[: int(ends[stop - 1]) - offset]
         np.concatenate([g.v for g in graphs[start:stop]], out=block)
+        start, at = stop, np.arange(offset, offset + len(block))  # rows without an id yet, and their places
+        if key_table is not None:
+            cand = key_table[_row_keys(block, probe) >> key_shift]
+            ids[at] = cand
+            same = block == found[:count].view(np.float64).take(cand, axis=0)
+            if same.all():
+                continue
+            miss = np.flatnonzero(~same.all(axis=1))
+            block, at = block[miss], at[miss]
         block += 0.0  # -0.0 becomes 0.0
-        bits = block.view(np.uint64)
-        hashes = _row_hashes(bits, weights)
-        pending, level = np.arange(len(bits)), 0
-        while pending.size:
-            rows = bits[pending] if level else bits
-            step = np.uint64(level * _LEVEL_STEP % 2**64)
-            slots = (hashes[pending] + step) >> np.uint64(64 - table_bits)
+        rows, before, level = block.view(np.uint64), count, 0
+        hashes = _row_hashes(rows, weights)
+        while True:  # rows without an id yet, their hashes and their places
+            slots = (hashes + np.uint64(level * _LEVEL_STEP % 2**64)) >> shift
             empty = np.flatnonzero(table[slots] < 0)
             if empty.size:  # the first row going to each empty slot becomes its distinct row
                 new_slots, first = np.unique(slots[empty], return_index=True)
@@ -385,14 +412,18 @@ def _distinct_rows(
                 table[new_slots] = np.arange(count, count + len(new_slots))
                 count += len(new_slots)
             cand = table[slots]
-            same = rows == found[cand]
+            same = rows == found.take(cand, axis=0)
             if same.all():
-                ids[offset + pending] = cand
+                ids[at] = cand
                 break
             match = same.all(axis=1)
-            ids[offset + pending[match]] = cand[match]
-            pending, level = pending[~match], level + 1
-        start = stop
+            ids[at[match]] = cand[match]
+            at, rows, hashes, level = at[~match], rows[~match], hashes[~match], level + 1
+        if count != before:
+            key_table = None
+            if count <= _KEYED_ROWS:
+                key_table = np.zeros(1 << (64 - int(key_shift)), dtype=np.intp)
+                key_table[_row_keys(found[:count].view(np.float64), probe) >> key_shift] = np.arange(count)
     return found[:count].view(np.float64), ids
 
 
@@ -401,8 +432,8 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
 
     Deduplication is float equality on feature rows, so a row seen with
     ``-0.0`` and with ``0.0`` is one row, stored with ``0.0``; rows are
-    hashed in blocks and every hash match is checked exactly (see
-    ``_distinct_rows``). The zero row is excluded from V and appended to
+    looked up in blocks, by a key or a hash, and every match is checked
+    exactly (see ``_distinct_rows``). The zero row is excluded from V and appended to
     V*. The basis is the greedy maximal independent subset of V in
     lexicographic row order, so the result is deterministic for a given
     dataset; its rank is V's by the rank test. The coefficients are solved
@@ -437,8 +468,9 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     vocabulary = distinct[np.any(distinct != 0.0, axis=1)]
     vocabulary_star = np.concatenate([vocabulary, np.zeros((1, ds.feature_dim))], axis=0)
 
-    basis = vocabulary[independent_row_subset(vocabulary)]
     rank = _solve_rows(vocabulary, vocabulary[:0])[1]
+    # deleting rows never lowers the smallest singular value, so an independent V is its own greedy basis
+    basis = vocabulary[range(rank) if rank == len(vocabulary) else independent_row_subset(vocabulary)]
     if len(basis) != rank:  # near RANK_TOL, rows each near the span of those kept
         raise ValueError(f"feature vocabulary of rank {rank} has a greedy basis of rank {len(basis)}")
 

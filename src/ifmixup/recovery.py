@@ -420,7 +420,9 @@ def intrusion_audit(
     returns the source pair (up to trailing dummy nodes, see
     ``RecoveredPair.matches``). Failures are counted, not raised. The audit
     is skipped when neither feature-invertibility assumption holds for the
-    dataset. Raises ValueError when ``trials`` is below 1.
+    dataset. Raises ValueError when ``trials`` is not an integer or is below 1.
+    Each call builds the dataset's FeatureBasis anew, so it audits the
+    dataset as it stands, in-place edits of its arrays included.
 
     A mix with a feature row outside V* (V plus the zero row) equals no
     training graph, so its collision check ends there: every row of a
@@ -434,6 +436,8 @@ def intrusion_audit(
     larger than the mix, padded to the mix's size, up to the first one that
     equals it under a different label.
     """
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     # imported per call, so a rebinding of graphs.feature_vocabulary (a span patch) sees it

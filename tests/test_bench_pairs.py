@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -20,6 +21,16 @@ def bench_pairs():
 
 def result(**values: float) -> dict:
     return {"correct": True, "failed": 0, "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+def traced(vocabulary_s: float, backward_s: float, collisions: float) -> dict:
+    """The last line of a ``--trace 1`` run: per-layer metrics only."""
+    metrics = {
+        "graphs.feature_vocabulary_s": {"value": vocabulary_s, "unit": "s"},
+        "autodiff.backward_s": {"value": backward_s, "unit": "s"},
+        "recovery.collisions": {"value": collisions, "unit": "count"},
+    }
+    return {"correct": True, "failed": 0, "metrics": metrics}
 
 
 def test_wins_follow_the_better_direction_and_ties_count_for_neither(bench_pairs):
@@ -41,3 +52,20 @@ def test_medians_quartiles_and_ratio(bench_pairs):
     assert row["change"] == {"median": 1.5, "q1": 1.0, "q3": 2.0}
     assert row["ratio"] == 0.5 and row["wins"] == 5
     assert bench_pairs.spread([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_per_layer_rows_take_the_contract_directions(bench_pairs):
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = bench_pairs.directions(json.load(fh))
+    assert better["graphs.feature_vocabulary_s"] == "lower" and better["audit_trials_per_s"] == "higher"
+    runs = [
+        {"parent": traced(0.02, 0.010, 0.0), "change": traced(0.0, 0.011, 0.0)},
+        {"parent": traced(0.03, 0.012, 0.0), "change": traced(0.0, 0.012, 0.0)},
+    ]
+    summary = bench_pairs.summarize(runs, better)
+    row = summary["graphs.feature_vocabulary_s"]
+    assert row["better"] == "lower" and row["wins"] == 2 and row["ratio"] == 0.0
+    assert row["parent"] == {"median": 0.025, "q1": 0.0225, "q3": 0.0275}
+    assert summary["autodiff.backward_s"]["wins"] == 0
+    counts = summary["recovery.collisions"]
+    assert counts["unit"] == "count" and counts["ratio"] is None and counts["wins"] == 0

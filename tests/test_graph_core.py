@@ -465,6 +465,13 @@ class TestFeatureVocabulary:
         hashes = ifmixup.graphs._row_hashes(bits, weights)
         assert hashes[0] != hashes[1]
 
+    def test_row_hash_is_the_folded_dot_mod_2_64(self):
+        rng = np.random.default_rng(0)
+        bits = rng.integers(2**64, size=(300, 37), dtype=np.uint64)
+        weights = rng.integers(2**63, size=37, dtype=np.uint64) * 2 + 1
+        folded = (bits >> np.uint64(32)) ^ bits
+        assert np.array_equal(ifmixup.graphs._row_hashes(bits, weights), folded @ weights)
+
 
 def reference_vocabulary(ds: m.GraphDataset):
     """The vocabulary by ``np.unique(axis=0)`` and one coefficient solve per
@@ -522,6 +529,11 @@ def one_hash_for_all(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.zeros(len(bits), dtype=np.uint64)
 
 
+def one_key_for_all(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """A stand-in for ``graphs._row_keys`` under which every row picks the same distinct row."""
+    return np.zeros(len(rows), dtype=np.uint64)
+
+
 class TestFeatureVocabularyAgainstReference:
     @staticmethod
     def same_bits(new: np.ndarray, ref: np.ndarray, negative_zeros: bool) -> bool:
@@ -552,28 +564,53 @@ class TestFeatureVocabularyAgainstReference:
         assert not np.signbit(fb.vocabulary_star[fb.vocabulary_star == 0.0]).any()
 
     @pytest.mark.parametrize(
-        "hashes, block_rows",
-        [("constant", 4), ("constant", None), ("real", 4)],
-        ids=["clashing-small-blocks", "clashing-one-block", "small-blocks"],
+        "hashes, keys, block_rows, keyed_rows",
+        [
+            ("constant", "real", 4, None),
+            ("constant", "real", None, None),
+            ("real", "real", 4, None),
+            ("real", "constant", 4, None),
+            ("constant", "constant", 4, None),
+            ("real", "real", 4, 2),
+        ],
+        ids=[
+            "clashing-small-blocks",
+            "clashing-one-block",
+            "small-blocks",
+            "one-key-small-blocks",
+            "clashing-one-key-small-blocks",
+            "keys-dropped-small-blocks",
+        ],
     )
     @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negative-zeros"])
     @pytest.mark.parametrize("seed", range(40))
-    def test_equal_whatever_the_hash(self, seed, negative_zeros, hashes, block_rows, monkeypatch):
+    def test_equal_whatever_the_hash(self, seed, negative_zeros, hashes, keys, block_rows, keyed_rows, monkeypatch):
         """test_equal_bit_for_bit with every row under one hash, so that
-        equality alone tells rows apart, and with blocks of a few rows, so
-        that rows meet the distinct rows of earlier blocks."""
+        equality alone tells rows apart; with blocks of a few rows, so that
+        rows meet the distinct rows of earlier blocks, first through their
+        keys; with one key for every row, so that most keys pick a wrong
+        row; and with the keys dropped once there are two distinct rows."""
         if hashes == "constant":
             monkeypatch.setattr(ifmixup.graphs, "_row_hashes", one_hash_for_all)
+        if keys == "constant":
+            monkeypatch.setattr(ifmixup.graphs, "_row_keys", one_key_for_all)
         if block_rows is not None:
             monkeypatch.setattr(ifmixup.graphs, "_DEDUP_BLOCK_ROWS", block_rows)
+        if keyed_rows is not None:
+            monkeypatch.setattr(ifmixup.graphs, "_KEYED_ROWS", keyed_rows)
         self.test_equal_bit_for_bit(seed, negative_zeros, ("coeffs", "t_set"))
 
+    @pytest.mark.parametrize("block_rows", [None, 4], ids=["one-block", "small-blocks"])
     @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negative-zeros"])
     @pytest.mark.parametrize("seed", range(40))
-    def test_general_rows(self, seed, negative_zeros):
+    def test_general_rows(self, seed, negative_zeros, block_rows, monkeypatch):
         """V, basis and rank stay bit for bit. The coefficients agree to
         rounding only: the per-graph reference gives one row last bits that
-        depend on its graph's node count, which one solve cannot reproduce."""
+        depend on its graph's node count, which one solve cannot reproduce.
+        With small blocks, rows whose keys round differently meet earlier
+        distinct rows."""
+        if block_rows is not None:
+            monkeypatch.setattr(ifmixup.graphs, "_DEDUP_BLOCK_ROWS", block_rows)
         ds = vocabulary_set(seed, negative_zeros, exact=False)
         vocabulary, basis, rank, coeffs, t_set = reference_vocabulary(ds)
         fb = m.feature_vocabulary(ds)
@@ -602,6 +639,18 @@ class TestFeatureVocabularyAgainstReference:
             zeros |= bool((~rows.any(axis=1)).any())
             negative |= bool(np.signbit(rows[rows == 0.0]).any())
         assert dependent == {True, False} and duplicates and zeros and negative
+
+    @pytest.mark.parametrize("bad", [np.inf, 1e308])
+    def test_rows_keyed_to_inf_or_nan_warn_nothing(self, bad, monkeypatch):
+        """A row of all ``bad`` in a later block keys to +-inf or NaN (the
+        probe has both signs) without a warning, and the build names it."""
+        monkeypatch.setattr(ifmixup.graphs, "_DEDUP_BLOCK_ROWS", 1)
+        rows = [[1.0] + [0.0] * 7, [0.0, 1.0] + [0.0] * 6, [bad] * 8]
+        graphs = [m.NodeFeaturedGraph(np.array([row]), np.zeros((1, 1))) for row in rows]
+        ds = m.GraphDataset([(g, m.LabelDistribution.one_hot(0, 1)) for g in graphs], 1, 8)
+        message = "graph 2: non-finite node feature at" if bad == np.inf else "basis reconstruction residual"
+        with pytest.raises(ValueError, match=message):
+            m.feature_vocabulary(ds)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("seed", range(5))

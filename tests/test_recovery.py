@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 import ifmixup as m
@@ -1044,6 +1044,16 @@ class TestIntrusionAudit:
         with pytest.raises(ValueError, match=rf"trials must be at least 1, got {trials}"):
             m.intrusion_audit(self.build_ds(), trials, m.BetaParams(2, 2), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, np.float64(3.0), "3", None])
+    def test_trials_not_an_integer_rejected(self, trials):
+        with pytest.raises(ValueError, match=rf"^trials must be an integer, got {re.escape(repr(trials))}$"):
+            m.intrusion_audit(self.build_ds(), trials, m.BetaParams(2, 2), np.random.default_rng(0))
+
+    def test_numpy_integer_trials_accepted(self):
+        ds, params = self.build_ds(), m.BetaParams(2, 2)
+        report = m.intrusion_audit(ds, np.int64(7), params, np.random.default_rng(0))
+        assert report.to_text() == m.intrusion_audit(ds, 7, params, np.random.default_rng(0)).to_text()
+
 
 def scan_audit(ds: m.GraphDataset, trials: int, params: m.BetaParams, rng: np.random.Generator):
     """``intrusion_audit`` with the collision check as a scan over every
@@ -1190,11 +1200,19 @@ def constant_feature_set() -> m.GraphDataset:
     return m.GraphDataset(items, 2, 1, "CONSTANT")
 
 
+def mirrored(g: m.NodeFeaturedGraph) -> m.NodeFeaturedGraph:
+    """The graph with each feature row added to its column-reversed self:
+    a one-hot row becomes [1, 1] over two columns and [2] over one."""
+    return m.NodeFeaturedGraph(g.v + g.v[:, ::-1], g.e)
+
+
 @st.composite
 def small_sets(draw) -> m.GraphDataset:
     """2-6 graphs of 1-4 nodes with one-hot or zero features over 1-2
     columns under two labels; about a third of the graphs repeat an
-    earlier one, sometimes with a dummy node or -0.0 zeros."""
+    earlier one, sometimes with a dummy node or -0.0 zeros, and a fifth of
+    the others are ``mirrored``, so V can be dependent (basis mode or no
+    mode)."""
     d = draw(st.integers(1, 2))
     items = []
     for _ in range(draw(st.integers(2, 6))):
@@ -1203,6 +1221,7 @@ def small_sets(draw) -> m.GraphDataset:
             g = draw(st.sampled_from([g, with_dummies(g, 1), negative_zeros(g)]))
         else:
             g = draw(one_hot_graphs(d, max_n=4))
+            g = g if draw(st.integers(0, 4)) else mirrored(g)
         items.append((g, m.LabelDistribution.one_hot(draw(st.integers(0, 1)), 2)))
     return m.GraphDataset(items, 2, d, "SMALL")
 
@@ -1237,10 +1256,19 @@ class TestVocabularyStarFilter:
     @settings(max_examples=80)
     @given(ds=small_sets(), seed=st.integers(0, 2**16))
     def test_small_sets_match_scan(self, ds, seed):
+        """Twice in a row on one dataset, each report equal to the scan's."""
         params = m.BetaParams(2, 2)
         oracle = scan_audit(ds, 20, params, np.random.default_rng(seed))
-        report = m.intrusion_audit(ds, 20, params, np.random.default_rng(seed))
-        assert report_fields(report) == report_fields(oracle)
+        for _ in range(2):
+            report = m.intrusion_audit(ds, 20, params, np.random.default_rng(seed))
+            assert report_fields(report) == report_fields(oracle)
+
+    @pytest.mark.parametrize("mode", ["independent", "basis", "None"])
+    def test_small_sets_reach_every_mode(self, mode):
+        def reached(ds: m.GraphDataset) -> bool:
+            return str(recovery_mode(m.feature_vocabulary(ds))) == mode
+
+        find(small_sets(), reached, settings=settings(database=None))
 
 
 class TestSourceTailDummies:
@@ -1269,3 +1297,69 @@ class TestSourceTailDummies:
         oracle = scan_audit(ds, 50, m.BetaParams(2, 2), np.random.default_rng(0))
         assert report.collisions > 0 and report.recovery_failures == 0
         assert report_fields(report) == report_fields(oracle)
+
+
+def index_set(extra: bool) -> m.GraphDataset:
+    """Ten one-hot graphs over 4 columns (independent mode), and with
+    ``extra`` an eleventh, ``odd_item``'s, which makes V dependent."""
+    items = TestIntrusionAudit().build_ds().items
+    return m.GraphDataset(items + [odd_item()] if extra else items, 2, 4, "INDEX")
+
+
+def odd_item() -> tuple[m.NodeFeaturedGraph, m.LabelDistribution]:
+    v = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    return m.NodeFeaturedGraph(v, sym({(0, 1): 1.0}, 2)), m.LabelDistribution.one_hot(1, 2)
+
+
+def audit_text(ds: m.GraphDataset, seed: int = 0) -> str:
+    return m.intrusion_audit(ds, 30, m.BetaParams(2, 2), np.random.default_rng(seed)).to_text()
+
+
+def fresh_text(ds: m.GraphDataset, seed: int = 0) -> str:
+    """The audit report of a new dataset object holding the items of ``ds``."""
+    return audit_text(m.GraphDataset(list(ds.items), ds.num_classes, ds.feature_dim, ds.name), seed)
+
+
+def edit_in_place(ds: m.GraphDataset) -> None:
+    ds.items[0][0].v[0] = [1.0, 1.0, 0.0, 0.0]
+
+
+class TestAuditSeesTheDatasetAsItStands:
+    """Each ``intrusion_audit`` reads the dataset as it is at the call: a
+    later audit on the same object reports what a new object with the same
+    items reports, whatever changed in between, in-place array edits too."""
+
+    @pytest.mark.parametrize(
+        "extra, change",
+        [
+            (False, lambda ds: ds.items.append(odd_item())),
+            (False, lambda ds: ds.items.__setitem__(3, odd_item())),
+            (True, lambda ds: ds.items.pop()),
+            (False, lambda ds: setattr(ds, "items", ds.items + [odd_item()])),
+            (False, edit_in_place),
+        ],
+        ids=["append", "replace", "pop", "assign", "in-place-edit"],
+    )
+    def test_change_between_audits_is_seen(self, extra, change):
+        ds = index_set(extra)
+        before = audit_text(ds)
+        change(ds)
+        after = audit_text(ds)
+        assert after == fresh_text(ds)
+        assert after != before  # the mode changed with V, so a stale verdict would show
+
+    def test_in_place_edit_seen_by_feature_vocabulary(self):
+        ds = index_set(False)
+        audit_text(ds)
+        edit_in_place(ds)
+        fb = m.feature_vocabulary(ds)
+        assert len(fb.vocabulary) == 5 and not fb.vocabulary_independent()
+
+    def test_feature_dim_assignment_seen(self):
+        ds = index_set(False)
+        before = audit_text(ds)
+        ds.feature_dim = 5
+        with pytest.raises(ValueError, match="graph 0: feature width 4, but the dataset declares 5"):
+            audit_text(ds)
+        ds.feature_dim = 4
+        assert audit_text(ds) == before

@@ -1,24 +1,27 @@
 """Alternating parent/change benchmark pairs, summarized into ``BENCH_<label>.json``.
 
     python3 tools/bench_pairs.py --parent REV --label L [--pairs N] [--seed S]
-                                 [--workloads W ...]
+                                 [--workloads W ...] [--trace 0|1]
 
 The change is the checkout this file sits in, as it stands (uncommitted
 edits included); the parent is REV, checked out into a temporary
 ``git worktree`` that is removed when the script ends. For each workload
 (default: every one in the change's ``BENCHMARK.json``), pair k runs each
 revision's own ``benchmarks/run.py --workload W --seed S --seconds 35
---trace 0`` in a fresh process, the parent first in even pairs and the
+--trace T`` in a fresh process, the parent first in even pairs and the
 change first in odd ones, and reads the run's last stdout line, one JSON
 object with ``correct``, ``attempted``, ``failed`` and ``metrics``. The
-exit code is nonzero when a run failed a check.
+exit code is nonzero when a run failed a check. With ``--trace 0`` (the
+default) the metrics are the end-to-end ones; with ``--trace 1`` they are
+the traced run's per-layer ones, in wall seconds.
 
 ``BENCH_<label>.json``, written at the root of the checkout, holds both
-revisions, the command, the environment line of the first run, and per
-workload: each pair's runs (check status, failed and attempted operation
-counts, every metric) and, per metric, each side's median and quartiles and
-the change's wins out of the pairs, a win being a strictly better value in
-the direction ``BENCHMARK.json`` gives (ties count for neither side).
+revisions, the command, the trace setting, the environment line of the
+first run, and per workload: each pair's runs (check status, failed and
+attempted operation counts, every metric) and, per metric, each side's
+median and quartiles and the change's wins out of the pairs, a win being a
+strictly better value in the direction ``BENCHMARK.json`` gives in its
+``end_to_end`` or ``per_layer`` list (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ def git(*args: str) -> str:
     return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: str, workload: str, seed: int) -> tuple[dict, dict | None]:
+def run_once(tree: str, workload: str, seed: int, trace: int) -> tuple[dict, dict | None]:
     """One ``benchmarks/run.py`` process of ``tree``: its last stdout line, and its environment line."""
     cmd = [sys.executable, os.path.join(tree, "benchmarks", "run.py"), "--workload", workload]
-    cmd += ["--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+    cmd += ["--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
@@ -60,6 +63,11 @@ def spread(values: list[float]) -> dict:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def directions(contract: dict) -> dict[str, str]:
+    """Each metric's better direction, "higher" or "lower", end-to-end and per-layer alike."""
+    return {m["name"]: m["better"] for m in contract["end_to_end"] + contract["per_layer"]}
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -87,13 +95,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=3)
     p.add_argument("--workloads", nargs="+", default=None)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0, help="1: per-layer metrics of traced runs")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error(f"--pairs must be at least 1, got {args.pairs}")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         contract = json.load(fh)
-    better = {m["name"]: m["better"] for m in contract["end_to_end"] + contract["per_layer"]}
+    better = directions(contract)
     workloads = args.workloads or [w["name"] for w in contract["workloads"]]
     parent_rev = git("rev-parse", f"{args.parent}^{{commit}}")
     head = git("rev-parse", "HEAD")
@@ -111,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 pair = {"order": list(order)}
                 for side in order:
-                    pair[side], env = run_once(trees[side], workload, args.seed)
+                    pair[side], env = run_once(trees[side], workload, args.seed, args.trace)
                     env_line = env_line or env
                     print(
                         f"{workload} pair {k} {side}: correct={pair[side]['correct']} failed={pair[side]['failed']}",
@@ -132,6 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": {"rev": head, "uncommitted_edits": dirty},
         "seed": args.seed,
         "seconds": SECONDS,
+        "trace": args.trace,
         "pairs": args.pairs,
         "environment": env_line,
         "workloads": report,
