@@ -317,8 +317,8 @@ def coefficients_in_basis(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
 # calls cost little next to the work on the rows.
 _DEDUP_BLOCK_ROWS = 1024
 
-# The dedup pass keeps a key table (8 slots per distinct row) while there are
-# at most this many distinct rows, so refilling it stays cheap.
+# The dedup pass keeps a key table (8 to 16 slots per distinct row) while
+# there are at most this many distinct rows, so refilling it stays cheap.
 _KEYED_ROWS = 1024
 
 # Added to a row's hash once per level of the dedup pass (an odd 64-bit
@@ -369,8 +369,9 @@ def _distinct_rows(
     rounding in a key or a shared slot costs time, never a wrong id.
     """
     ids = np.empty(int(ends[-1]), dtype=np.intp)
-    weights = np.random.default_rng(0).integers(2**63, size=width, dtype=np.uint64) * 2 + 1
-    probe = np.random.default_rng(0).standard_normal(width)
+    draws = np.random.default_rng(0)
+    weights = draws.integers(2**63, size=width, dtype=np.uint64) * 2 + 1
+    probe = draws.standard_normal(width)
     table_bits = max(1, 2 * len(ids)).bit_length()  # at least twice as many slots as rows
     table = np.full(1 << table_bits, -1, dtype=np.intp)  # slot -> distinct row, -1 when empty
     shift = np.uint64(64 - table_bits)
@@ -378,7 +379,6 @@ def _distinct_rows(
     block_buffer = np.empty((max(_DEDUP_BLOCK_ROWS, largest), width))
     found = np.empty((0, width), dtype=np.uint64)  # bits of the distinct rows, the first `count` set
     count = 0
-    key_shift = np.uint64(64 - (8 * _KEYED_ROWS - 1).bit_length())
     key_table = None  # slot -> id of a distinct row whose key went there (0 when none did)
     start = 0
     while start < len(graphs):
@@ -421,7 +421,8 @@ def _distinct_rows(
             at, rows, hashes, level = at[~match], rows[~match], hashes[~match], level + 1
         if count != before:
             key_table = None
-            if count <= _KEYED_ROWS:
+            if count <= _KEYED_ROWS and start < len(graphs):
+                key_shift = np.uint64(64 - (8 * count - 1).bit_length())
                 key_table = np.zeros(1 << (64 - int(key_shift)), dtype=np.intp)
                 key_table[_row_keys(found[:count].view(np.float64), probe) >> key_shift] = np.arange(count)
     return found[:count].view(np.float64), ids
