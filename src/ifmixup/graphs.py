@@ -317,33 +317,13 @@ def coefficients_in_basis(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
 # calls cost little next to the work on the rows.
 _DEDUP_BLOCK_ROWS = 1024
 
-# The dedup pass keeps a key table (8 to 16 slots per distinct row) while
-# there are at most this many distinct rows, so refilling it stays cheap.
-_KEYED_ROWS = 1024
-
-# Added to a row's hash once per level of the dedup pass (an odd 64-bit
-# constant, so the levels of one hash walk through every slot).
-_LEVEL_STEP = 0x9E3779B97F4A7C15
-
-
-def _row_hashes(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of a uint64 matrix: every entry with its
-    high half xored onto its low half, dotted with odd ``weights`` mod 2**64.
-
-    The fold matters: times an odd weight, a top (sign) bit lands in the top
-    bit alone, where two of them cancel, so a plain weighted sum gives
-    ``[-1, 1]`` and ``[1, -1]`` one hash.
-    """
-    folded = bits >> np.uint64(32)
-    folded ^= bits
-    return np.einsum("ij,j->i", folded, weights)  # faster than @ on integers
-
 
 def _row_keys(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """A key of each row of a float matrix: the bits of its dot product with
-    ``probe`` (-0.0 as 0.0), times an odd constant mod 2**64."""
+    ``probe`` (-0.0 as 0.0), times an odd constant mod 2**64, which carries
+    every bit of the product into the top bits."""
     with np.errstate(invalid="ignore", over="ignore"):  # a row with inf or huge entries keys as inf or NaN
-        return (rows @ probe + 0.0).view(np.uint64) * np.uint64(_LEVEL_STEP)
+        return (rows @ probe + 0.0).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
 
 def _distinct_rows(
@@ -354,31 +334,22 @@ def _distinct_rows(
 
     One pass over blocks of whole graphs, about ``_DEDUP_BLOCK_ROWS`` stacked
     rows each. Rows are compared by their bytes after adding 0.0, so -0.0
-    and 0.0 are one row, stored as 0.0. A row's hash only picks the
-    distinct row it is compared with, and equality decides. At level L a
-    row goes to the slot named by the top bits of its hash plus
-    L * _LEVEL_STEP; it takes the id of the distinct row in that slot if it
-    equals it, tries level L + 1 if not, and becomes the slot's distinct row
-    if the slot is empty. Equal rows walk the same slots, so a hash clash
-    costs a level and can neither merge two rows nor split one.
+    and 0.0 are one row, stored as 0.0. A dict from those bytes to a row's
+    id is the one exact lookup: a block's rows are collapsed by ``np.unique``
+    on their bytes, and each distinct one takes its id or a new one.
 
-    Up to ``_KEYED_ROWS`` distinct rows, a cheaper pick comes first: the
-    top bits of a row's key (``_row_keys``) name a slot holding the id of a
-    distinct row keyed there, and a row equal to it as floats (-0.0 equals
-    0.0, NaN equals nothing) takes that id. Only the others are hashed, so
-    rounding in a key or a shared slot costs time, never a wrong id.
+    A cheaper pick comes first once earlier blocks have found distinct rows:
+    the top bits of a row's key (``_row_keys``) name a slot holding the id
+    of a distinct row keyed there, and a row equal to it as floats (-0.0
+    equals 0.0, NaN equals nothing) takes that id. Only the others go to the
+    dict, so rounding in a key or a shared slot costs time, never a wrong id.
     """
     ids = np.empty(int(ends[-1]), dtype=np.intp)
-    draws = np.random.default_rng(0)
-    weights = draws.integers(2**63, size=width, dtype=np.uint64) * 2 + 1
-    probe = draws.standard_normal(width)
-    table_bits = max(1, 2 * len(ids)).bit_length()  # at least twice as many slots as rows
-    table = np.full(1 << table_bits, -1, dtype=np.intp)  # slot -> distinct row, -1 when empty
-    shift = np.uint64(64 - table_bits)
+    probe = np.random.default_rng(0).standard_normal(width)
     largest = int(np.max(np.diff(ends, prepend=0)))
     block_buffer = np.empty((max(_DEDUP_BLOCK_ROWS, largest), width))
-    found = np.empty((0, width), dtype=np.uint64)  # bits of the distinct rows, the first `count` set
-    count = 0
+    found = np.empty((0, width))  # the distinct rows by id, the first len(index) set
+    index: dict[bytes, int] = {}  # bytes of a distinct row -> its id
     key_table = None  # slot -> id of a distinct row whose key went there (0 when none did)
     start = 0
     while start < len(graphs):
@@ -391,41 +362,30 @@ def _distinct_rows(
         if key_table is not None:
             cand = key_table[_row_keys(block, probe) >> key_shift]
             ids[at] = cand
-            same = block == found[:count].view(np.float64).take(cand, axis=0)
-            if same.all():
+            same = block == found.take(cand, axis=0)
+            if same.all():  # one flat reduction; a per-row one costs several times more
                 continue
-            miss = np.flatnonzero(~same.all(axis=1))
+            miss = ~same.all(axis=1)
             block, at = block[miss], at[miss]
         block += 0.0  # -0.0 becomes 0.0
-        rows, before, level = block.view(np.uint64), count, 0
-        hashes = _row_hashes(rows, weights)
-        while True:  # rows without an id yet, their hashes and their places
-            slots = (hashes + np.uint64(level * _LEVEL_STEP % 2**64)) >> shift
-            empty = np.flatnonzero(table[slots] < 0)
-            if empty.size:  # the first row going to each empty slot becomes its distinct row
-                new_slots, first = np.unique(slots[empty], return_index=True)
-                if count + len(new_slots) > len(found):
-                    grown = np.empty((2 * (count + len(new_slots)), width), dtype=np.uint64)
-                    grown[:count] = found[:count]
-                    found = grown
-                found[count : count + len(new_slots)] = rows[empty[first]]
-                table[new_slots] = np.arange(count, count + len(new_slots))
-                count += len(new_slots)
-            cand = table[slots]
-            same = rows == found.take(cand, axis=0)
-            if same.all():
-                ids[at] = cand
-                break
-            match = same.all(axis=1)
-            ids[at[match]] = cand[match]
-            at, rows, hashes, level = at[~match], rows[~match], hashes[~match], level + 1
-        if count != before:
-            key_table = None
-            if count <= _KEYED_ROWS and start < len(graphs):
-                key_shift = np.uint64(64 - (8 * count - 1).bit_length())
-                key_table = np.zeros(1 << (64 - int(key_shift)), dtype=np.intp)
-                key_table[_row_keys(found[:count].view(np.float64), probe) >> key_shift] = np.arange(count)
-    return found[:count].view(np.float64), ids
+        rows, first, inverse = np.unique(
+            block.view(np.dtype((np.void, 8 * width))).ravel(), return_index=True, return_inverse=True
+        )
+        before = len(index)
+        row_ids = np.array([index.setdefault(row, len(index)) for row in rows.tolist()], dtype=np.intp)
+        ids[at] = row_ids[inverse]
+        count = len(index)
+        if count == before:
+            continue
+        if count > len(found):  # room for twice as many distinct rows
+            found = np.concatenate([found[:before], np.empty((2 * count - before, width))])
+        found[before:count] = block[first[row_ids >= before]]
+        if start < len(graphs):  # key the new rows; below 8 slots per row, key all in 16 to 32 per row
+            if key_table is None or 8 * count > len(key_table):
+                key_shift = np.uint64(64 - (16 * count - 1).bit_length())
+                key_table, before = np.zeros(1 << (64 - int(key_shift)), dtype=np.intp), 0
+            key_table[_row_keys(found[before:count], probe) >> key_shift] = np.arange(before, count)
+    return found[: len(index)], ids
 
 
 def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
@@ -433,15 +393,16 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
 
     Deduplication is float equality on feature rows, so a row seen with
     ``-0.0`` and with ``0.0`` is one row, stored with ``0.0``; rows are
-    looked up in blocks, by a key or a hash, and every match is checked
-    exactly (see ``_distinct_rows``). The zero row is excluded from V and appended to
+    looked up in blocks, by their bytes once a key has not matched them
+    (see ``_distinct_rows``). The zero row is excluded from V and appended to
     V*. The basis is the greedy maximal independent subset of V in
     lexicographic row order, so the result is deterministic for a given
     dataset; its rank is V's by the rank test. The coefficients are solved
     once for the distinct rows, by the solver that decides the rank, and
     checked against them; the per-graph ``coeffs`` and the deduplicated
     ``t_set`` are gathered from that solve on their first read, not here.
-    Raises ValueError naming the graph when its feature width is not the
+    Raises ValueError naming the width when the dataset declares no feature
+    column, naming the graph when its feature width is not the
     dataset's, naming the graph and the entry when a node feature is not
     finite, naming both ranks when the basis has fewer rows than V's rank,
     and naming the residual when the basis does not reconstruct the rows
@@ -449,6 +410,8 @@ def feature_vocabulary(ds: GraphDataset) -> FeatureBasis:
     """
     if not ds.items:
         raise ValueError("empty dataset")
+    if ds.feature_dim < 1:
+        raise ValueError(f"feature width {ds.feature_dim}: node features need at least one column")
     graphs = ds.graphs()
     shapes = [g.v.shape for g in graphs]
     for i, (_, width) in enumerate(shapes):

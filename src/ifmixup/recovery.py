@@ -272,9 +272,13 @@ def _feature_coefficients(v_mixed: np.ndarray, over: np.ndarray | FeatureBasis, 
     solved per call; neither form reads ``coeffs``."""
     v_mixed = np.atleast_2d(np.asarray(v_mixed, dtype=np.float64))
     _require_finite(v_mixed, "mixed node feature")
+    bare = not isinstance(over, FeatureBasis)
+    vocabulary = np.atleast_2d(np.asarray(over, dtype=np.float64)) if bare else over.vocabulary
+    if v_mixed.shape[1] != vocabulary.shape[1]:
+        raise RecoveryError(
+            f"mixed node features have width {v_mixed.shape[1]}, the feature vocabulary {vocabulary.shape[1]}"
+        )
     if independent:
-        bare = not isinstance(over, FeatureBasis)
-        vocabulary = np.atleast_2d(np.asarray(over, dtype=np.float64)) if bare else over.vocabulary
         solved = _row_projector(vocabulary) if bare else over._projector("vocabulary")
         coeff = _proven_unique(v_mixed, vocabulary, solved, "feature vocabulary", _OFF_SPAN)
         vocabulary_star = np.concatenate([vocabulary, np.zeros((1, vocabulary.shape[1]))])

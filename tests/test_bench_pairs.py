@@ -69,3 +69,25 @@ def test_per_layer_rows_take_the_contract_directions(bench_pairs):
     assert summary["autodiff.backward_s"]["wins"] == 0
     counts = summary["recovery.collisions"]
     assert counts["unit"] == "count" and counts["ratio"] is None and counts["wins"] == 0
+
+
+def test_copied_checkout_holds_the_tree_as_it_stands(bench_pairs, tmp_path):
+    """Tracked files with their edits and untracked files not ignored are
+    copied; a deleted tracked file and an ignored one are not."""
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "src").mkdir(parents=True)
+    files = {".gitignore": "out/\n", "src/kept.py": "x = 1\n", "src/edited.py": "y = 1\n", "gone.txt": "old\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+    for args in (["init", "-q"], ["add", "-A"], ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "seed"]):
+        bench_pairs.git(*args, root=str(repo))
+    (repo / "src/edited.py").write_text("y = 2\n")
+    (repo / "gone.txt").unlink()
+    (repo / "src/new.py").write_text("z = 3\n")
+    (repo / "out").mkdir()
+    (repo / "out/ignored.txt").write_text("left behind\n")
+
+    bench_pairs.copy_checkout(str(dest), root=str(repo))
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "src/edited.py", "src/kept.py", "src/new.py"]
+    assert (dest / "src/edited.py").read_text() == "y = 2\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+from collections.abc import Callable
 from fractions import Fraction
 
 import numpy as np
@@ -450,27 +451,18 @@ class TestFeatureVocabulary:
         with pytest.raises(ValueError, match=message):
             m.feature_vocabulary(m.GraphDataset(items, 1, declared, "WIDTHS"))
 
+    def test_zero_feature_width_named(self):
+        graphs = [m.NodeFeaturedGraph(np.zeros((2, 0)), np.zeros((2, 2))) for _ in range(2)]
+        items = [(g, m.LabelDistribution.one_hot(0, 1)) for g in graphs]
+        with pytest.raises(ValueError, match="feature width 0: node features need at least one column"):
+            m.feature_vocabulary(m.GraphDataset(items, 1, 0, "NO-COLUMNS"))
+
     def test_sign_twins_stay_apart_and_zero_twins_merge(self):
         rows = np.array([[-1.0, 1.0], [1.0, -1.0], [0.0, 1.0], [-0.0, 1.0]])
         fb = m.feature_vocabulary(self._one_graph_set(rows.tolist()))
         assert fb.vocabulary.tolist() == [[-1.0, 1.0], [0.0, 1.0], [1.0, -1.0]]
         assert not np.signbit(fb.vocabulary).any(where=fb.vocabulary == 0.0)
         assert fb.coeffs[0][2].tobytes() == fb.coeffs[0][3].tobytes()
-
-    def test_row_hash_folds_sign_bits(self):
-        bits = np.array([[-1.0, 1.0], [1.0, -1.0]]).view(np.uint64)
-        weights = np.array([1, 3], dtype=np.uint64)
-        plain = bits @ weights
-        assert plain[0] == plain[1]  # a plain weighted sum of the bits gives one hash
-        hashes = ifmixup.graphs._row_hashes(bits, weights)
-        assert hashes[0] != hashes[1]
-
-    def test_row_hash_is_the_folded_dot_mod_2_64(self):
-        rng = np.random.default_rng(0)
-        bits = rng.integers(2**64, size=(300, 37), dtype=np.uint64)
-        weights = rng.integers(2**63, size=37, dtype=np.uint64) * 2 + 1
-        folded = (bits >> np.uint64(32)) ^ bits
-        assert np.array_equal(ifmixup.graphs._row_hashes(bits, weights), folded @ weights)
 
 
 def reference_vocabulary(ds: m.GraphDataset):
@@ -524,14 +516,16 @@ def vocabulary_set(seed: int, negative_zeros: bool, exact: bool) -> m.GraphDatas
     return m.GraphDataset(items, 1, d, f"VOCAB-{seed}")
 
 
-def one_hash_for_all(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """A stand-in for ``graphs._row_hashes`` under which every row clashes."""
-    return np.zeros(len(bits), dtype=np.uint64)
-
-
 def one_key_for_all(rows: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """A stand-in for ``graphs._row_keys`` under which every row picks the same distinct row."""
     return np.zeros(len(rows), dtype=np.uint64)
+
+
+def own_keys() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A stand-in for ``graphs._row_keys`` that gives every row of every call
+    a key of its own, drawn whatever the row holds."""
+    draws = np.random.default_rng(1)
+    return lambda rows, probe: draws.integers(2**64, size=len(rows), dtype=np.uint64)
 
 
 class TestFeatureVocabularyAgainstReference:
@@ -564,40 +558,22 @@ class TestFeatureVocabularyAgainstReference:
         assert not np.signbit(fb.vocabulary_star[fb.vocabulary_star == 0.0]).any()
 
     @pytest.mark.parametrize(
-        "hashes, keys, block_rows, keyed_rows",
-        [
-            ("constant", "real", 4, None),
-            ("constant", "real", None, None),
-            ("real", "real", 4, None),
-            ("real", "constant", 4, None),
-            ("constant", "constant", 4, None),
-            ("real", "real", 4, 2),
-        ],
-        ids=[
-            "clashing-small-blocks",
-            "clashing-one-block",
-            "small-blocks",
-            "one-key-small-blocks",
-            "clashing-one-key-small-blocks",
-            "keys-dropped-small-blocks",
-        ],
+        "keys", ["real", "constant", "own"], ids=["small-blocks", "one-key-small-blocks", "own-key-small-blocks"]
     )
     @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negative-zeros"])
     @pytest.mark.parametrize("seed", range(40))
-    def test_equal_whatever_the_hash(self, seed, negative_zeros, hashes, keys, block_rows, keyed_rows, monkeypatch):
-        """test_equal_bit_for_bit with every row under one hash, so that
-        equality alone tells rows apart; with blocks of a few rows, so that
-        rows meet the distinct rows of earlier blocks, first through their
-        keys; with one key for every row, so that most keys pick a wrong
-        row; and with the keys dropped once there are two distinct rows."""
-        if hashes == "constant":
-            monkeypatch.setattr(ifmixup.graphs, "_row_hashes", one_hash_for_all)
+    def test_equal_whatever_the_hash(self, seed, negative_zeros, keys, monkeypatch):
+        """test_equal_bit_for_bit with blocks of a few rows, so that rows
+        meet the distinct rows of earlier blocks, first through their keys;
+        with one key for every row, so that most keys pick a wrong row; and
+        with a key of its own for every row, so that a key's slot names a
+        row unrelated to it, equal only by chance, and the byte lookup
+        decides the others."""
         if keys == "constant":
             monkeypatch.setattr(ifmixup.graphs, "_row_keys", one_key_for_all)
-        if block_rows is not None:
-            monkeypatch.setattr(ifmixup.graphs, "_DEDUP_BLOCK_ROWS", block_rows)
-        if keyed_rows is not None:
-            monkeypatch.setattr(ifmixup.graphs, "_KEYED_ROWS", keyed_rows)
+        if keys == "own":
+            monkeypatch.setattr(ifmixup.graphs, "_row_keys", own_keys())
+        monkeypatch.setattr(ifmixup.graphs, "_DEDUP_BLOCK_ROWS", 4)
         self.test_equal_bit_for_bit(seed, negative_zeros, ("coeffs", "t_set"))
 
     @pytest.mark.parametrize("block_rows", [None, 4], ids=["one-block", "small-blocks"])
@@ -650,6 +626,20 @@ class TestFeatureVocabularyAgainstReference:
         ds = m.GraphDataset([(g, m.LabelDistribution.one_hot(0, 1)) for g in graphs], 1, 8)
         message = "graph 2: non-finite node feature at" if bad == np.inf else "basis reconstruction residual"
         with pytest.raises(ValueError, match=message):
+            m.feature_vocabulary(ds)
+
+    def test_thousands_of_nan_rows_are_one_row(self):
+        """NaN equals nothing as a float, but NaN rows of one bit pattern
+        are one row by their bytes: 5,000 of them after finite rows make a
+        single distinct row (a lookup that compared floats would add one per
+        row), and the build names the first."""
+        graphs = [m.NodeFeaturedGraph(np.eye(3), np.zeros((3, 3)))]
+        graphs += [m.NodeFeaturedGraph(np.full((1, 3), np.nan), np.zeros((1, 1))) for _ in range(5000)]
+        ends = np.cumsum([g.n for g in graphs])
+        distinct, ids = ifmixup.graphs._distinct_rows(graphs, ends, 3)
+        assert len(distinct) == 4 and np.isnan(distinct[3]).all() and (ids[3:] == 3).all()
+        ds = m.GraphDataset([(g, m.LabelDistribution.one_hot(0, 1)) for g in graphs], 1, 3, "NAN-ROWS")
+        with pytest.raises(ValueError, match=r"graph 1: non-finite node feature at \(0, 0\): nan"):
             m.feature_vocabulary(ds)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -181,6 +181,15 @@ class TestRecoverFeaturesIndependent:
         with pytest.raises(RecoveryError, match=r"non-finite mixed node feature at \(1, 0\)"):
             m.recover_features_independent(mixed, 0.7, ONE_HOTS_3)
 
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "feature-basis"])
+    def test_feature_width_mismatch_named(self, wrapped):
+        vocabulary = ONE_HOTS_3
+        if wrapped:
+            g = m.NodeFeaturedGraph(ONE_HOTS_3, np.zeros((3, 3)))
+            vocabulary = m.feature_vocabulary(m.GraphDataset([(g, m.LabelDistribution.one_hot(0, 1))], 1, 3))
+        with pytest.raises(RecoveryError, match="mixed node features have width 4, the feature vocabulary 3"):
+            m.recover_features_independent(np.array([[0.7, 0.3, 0.0, 0.0]]), 0.7, vocabulary)
+
     def test_dependent_vocabulary_rejected_exhaustive(self):
         # the solve's own verdict agrees with check_linear_independence on every set
         sets = 0
@@ -315,6 +324,10 @@ class TestRecoverFeaturesBasis:
     def test_non_finite_rejected(self):
         with pytest.raises(RecoveryError, match=r"non-finite mixed node feature at \(0, 2\): inf"):
             m.recover_features_basis(np.array([[0.7, 0.7, np.inf]]), 0.7, hand_basis())
+
+    def test_feature_width_mismatch_named(self):
+        with pytest.raises(RecoveryError, match="mixed node features have width 4, the feature vocabulary 3"):
+            m.recover_features_basis(np.array([[0.7, 0.7, 0.3, 0.0]]), 0.7, hand_basis())
 
     def test_hand_example(self):
         fb = hand_basis()
@@ -758,6 +771,14 @@ class TestRecoverPair:
         mixed = m.NodeFeaturedGraph(np.array([[0.3, 0.7, 0.0], [np.nan, 0.0, 0.0]]), sym(edges, 2))
         with pytest.raises(RecoveryError, match="non-finite mixed node feature"):
             m.recover_pair(mixed, two_graph_basis(a, a))
+
+    @pytest.mark.parametrize("mode", ["independent", "basis"])
+    @pytest.mark.parametrize("edges", [{(0, 1): 1.0}, {(0, 1): 0.3}], ids=["degenerate", "soft"])
+    def test_feature_width_mismatch_named(self, edges, mode):
+        a = m.NodeFeaturedGraph(np.eye(3)[:2], sym({(0, 1): 1.0}, 2))
+        mixed = m.NodeFeaturedGraph(np.array([[0.3, 0.7, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]), sym(edges, 2))
+        with pytest.raises(RecoveryError, match="mixed node features have width 4, the feature vocabulary 3"):
+            m.recover_pair(mixed, two_graph_basis(a, a), mode)
 
     def test_strip_dummy_nodes(self):
         g = rand_one_hot_graph(np.random.default_rng(13), 4, 3)

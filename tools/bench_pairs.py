@@ -3,9 +3,12 @@
     python3 tools/bench_pairs.py --parent REV --label L [--pairs N] [--seed S]
                                  [--workloads W ...] [--trace 0|1]
 
-The change is the checkout this file sits in, as it stands (uncommitted
-edits included); the parent is REV, checked out into a temporary
-``git worktree`` that is removed when the script ends. For each workload
+The change is the checkout this file sits in, as it stands: its tracked
+files with uncommitted edits, and its untracked files that ``.gitignore``
+does not name, copied into a temporary directory. The parent is REV,
+checked out into a temporary ``git worktree`` beside it, so both sides run
+from fresh trees of the same kind of path; both are removed when the
+script ends. For each workload
 (default: every one in the change's ``BENCHMARK.json``), pair k runs each
 revision's own ``benchmarks/run.py --workload W --seed S --seconds 35
 --trace T`` in a fresh process, the parent first in even pairs and the
@@ -39,8 +42,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 35  # the run length BENCHMARK.json sets
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, text=True).stdout.strip()
+def git(*args: str, root: str = ROOT) -> str:
+    return subprocess.run(["git", "-C", root, *args], check=True, capture_output=True, text=True).stdout.strip()
+
+
+def copy_checkout(dest: str, root: str = ROOT) -> None:
+    """Copy the checkout at ``root`` into ``dest``: its tracked files as they
+    stand (a deleted one stays out) and its untracked files that are not ignored."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard", root=root).split("\0"):
+        source, target = os.path.join(root, name), os.path.join(dest, name)
+        if name and os.path.lexists(source):
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            shutil.copy2(source, target, follow_symlinks=False)
 
 
 def run_once(tree: str, workload: str, seed: int, trace: int) -> tuple[dict, dict | None]:
@@ -106,14 +119,14 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workloads or [w["name"] for w in contract["workloads"]]
     parent_rev = git("rev-parse", f"{args.parent}^{{commit}}")
     head = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    dirty = bool(git("status", "--porcelain"))  # edits and untracked files, as copied
 
     work = tempfile.mkdtemp(prefix="bench_pairs-")
-    parent_tree = os.path.join(work, "parent")
-    git("worktree", "add", "--detach", parent_tree, parent_rev)
+    trees = {side: os.path.join(work, side) for side in ("parent", "change")}
+    git("worktree", "add", "--detach", trees["parent"], parent_rev)
     env_line, report = None, {}
-    trees = {"parent": parent_tree, "change": ROOT}
     try:
+        copy_checkout(trees["change"])
         for workload in workloads:
             runs = []
             for k in range(args.pairs):
@@ -130,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
                 runs.append(pair)
             report[workload] = {"metrics": summarize(runs, better), "runs": runs}
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", parent_tree], check=False)
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", trees["parent"]], check=False)
         subprocess.run(["git", "-C", ROOT, "worktree", "prune"], check=False)
         shutil.rmtree(work, ignore_errors=True)
 
