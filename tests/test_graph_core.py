@@ -558,22 +558,33 @@ class TestFeatureVocabularyAgainstReference:
         assert not np.signbit(fb.vocabulary_star[fb.vocabulary_star == 0.0]).any()
 
     @pytest.mark.parametrize(
-        "keys", ["real", "constant", "own"], ids=["small-blocks", "one-key-small-blocks", "own-key-small-blocks"]
+        "keys, block_rows",
+        [("real", 4), ("constant", 4), ("own", 4), ("real", 1), ("constant", 1), ("own", 1)],
+        ids=[
+            "small-blocks",
+            "one-key-small-blocks",
+            "own-key-small-blocks",
+            "graph-blocks",
+            "one-key-graph-blocks",
+            "own-key-graph-blocks",
+        ],
     )
     @pytest.mark.parametrize("negative_zeros", [False, True], ids=["plain", "negative-zeros"])
     @pytest.mark.parametrize("seed", range(40))
-    def test_equal_whatever_the_hash(self, seed, negative_zeros, keys, monkeypatch):
+    def test_equal_whatever_the_hash(self, seed, negative_zeros, keys, block_rows, monkeypatch):
         """test_equal_bit_for_bit with blocks of a few rows, so that rows
         meet the distinct rows of earlier blocks, first through their keys;
         with one key for every row, so that most keys pick a wrong row; and
         with a key of its own for every row, so that a key's slot names a
         row unrelated to it, equal only by chance, and the byte lookup
-        decides the others."""
+        decides the others. Blocks of one row hold one graph each, so the
+        key table is looked up for every graph after the first and rebuilt
+        each time the distinct rows outgrow it."""
         if keys == "constant":
             monkeypatch.setattr(ifmixup.graphs, "_row_keys", one_key_for_all)
         if keys == "own":
             monkeypatch.setattr(ifmixup.graphs, "_row_keys", own_keys())
-        monkeypatch.setattr(ifmixup.graphs, "_DEDUP_BLOCK_ROWS", 4)
+        monkeypatch.setattr(ifmixup.graphs, "_DEDUP_BLOCK_ROWS", block_rows)
         self.test_equal_bit_for_bit(seed, negative_zeros, ("coeffs", "t_set"))
 
     @pytest.mark.parametrize("block_rows", [None, 4], ids=["one-block", "small-blocks"])
